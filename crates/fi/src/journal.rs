@@ -9,56 +9,52 @@
 //! journaled records and re-executing the missing coordinates reconstructs
 //! the uninterrupted [`crate::results::CampaignResult`] *byte for byte*.
 //!
-//! Layout:
+//! The journal is a typed layer over the shared [`crate::record_log`],
+//! which owns the on-disk format (a JSON header line, then one
+//! CRC32-prefixed JSON record per line), torn-tail recovery, mid-file
+//! corruption detection and the bounded `ENOSPC` retry. What is specific
+//! to the journal:
 //!
 //! * line 1 — a [`JournalHeader`]: format version, campaign spec, master
 //!   seed and horizon. On resume the header is compared against the
 //!   campaign being run; any disagreement is a typed
 //!   [`FiError::JournalMismatch`] — a journal never silently contaminates a
 //!   different campaign.
-//! * lines 2.. — one [`JournalEntry`] per finished run.
+//! * lines 2.. — one [`JournalEntry`] per finished run:
 //!
-//! Durability: every appended record is flushed to the OS immediately (so a
-//! process kill loses nothing), and `fsync`ed in configurable batches
-//! (default [`DEFAULT_FSYNC_INTERVAL`], see [`RunJournal::set_fsync_interval`])
-//! bounding loss on power failure. A torn final line — the signature of
-//! `kill -9` mid-write — is detected on open, reported via
-//! [`LoadedJournal::truncated_tail`], and truncated away before appending
-//! resumes so the file stays parseable.
+//!   ```text
+//!   89abcdef {"k":17,"attempts":1,"record":{...},"stats":{...}}
+//!   ```
 //!
-//! Each entry also carries the run's deterministic
-//! [`RunStats`] (ticks simulated, fast-forward shortcuts taken), which is
-//! what lets a resumed campaign's telemetry totals merge to exactly the
-//! uninterrupted values, plus the number of *attempts* the executor needed
-//! (always 1 in-process; retries under process isolation push it higher).
+//! * durability — every appended record is flushed to the OS immediately
+//!   (so a process kill loses nothing), and `fsync`ed in configurable
+//!   batches (default [`DEFAULT_FSYNC_INTERVAL`], see
+//!   [`RunJournal::set_fsync_interval`]) bounding loss on power failure.
 //!
-//! # Integrity (format v3)
+//! A torn final line — the signature of `kill -9` mid-write — is reported
+//! via [`LoadedJournal::truncated_tail`] and truncated away before
+//! appending resumes; a bad record *mid-file* is rejected with
+//! [`FiError::JournalCorrupt`] naming the line.
 //!
-//! Every record line is prefixed with the CRC32 (IEEE) of its JSON payload,
-//! as eight lowercase hex digits and a space:
-//!
-//! ```text
-//! 89abcdef {"k":17,"attempts":1,"record":{...},"stats":{...}}
-//! ```
-//!
-//! A record that fails its CRC (or does not parse) at the **end** of the
-//! file is the torn tail of an interrupted write and is truncated away as
-//! before. The same failure **mid-file** — with intact records after it —
-//! can only be silent corruption (bit rot, a bad copy, a buggy tool), and
-//! resuming over it would quietly drop a run, so the journal is rejected
-//! with [`FiError::JournalCorrupt`] naming the first corrupt line.
+//! Each entry also carries the run's deterministic [`RunStats`] (ticks
+//! simulated, fast-forward shortcuts taken), which is what lets a resumed
+//! campaign's telemetry totals merge to exactly the uninterrupted values,
+//! plus the number of *attempts* the executor needed (always 1 in-process;
+//! retries under process isolation push it higher).
 
-use crate::chaos::{ChaosInjector, IoFaultKind};
+use crate::chaos::ChaosInjector;
+use crate::env::atomic_write;
 use crate::error::FiError;
+use crate::record_log::{self, LogError, RecordLog};
 use crate::results::{RunRecord, RunStats};
 use crate::spec::CampaignSpec;
 use permea_obs::{Counter, Histogram, Obs};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+pub use crate::record_log::{crc32, ENOSPC_APPEND_RETRIES};
 
 /// Journal format version; bumped on any incompatible layout change.
 /// Version 2 added per-entry [`RunStats`]; version 3 added the per-record
@@ -67,21 +63,6 @@ use std::sync::Arc;
 /// replay the planner's coordinate stream (dense and adaptive journals can
 /// never silently resume each other).
 pub const JOURNAL_VERSION: u32 = 4;
-
-/// CRC32 (IEEE 802.3, reflected) of `data` — the checksum prefixed to every
-/// v3 record line. Computed bitwise; journal lines are short enough that a
-/// lookup table would buy nothing.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Default fsync batching: records are `fsync`ed every this many appends
 /// (each append is still flushed to the OS immediately). Campaigns override
@@ -168,37 +149,22 @@ pub struct LoadedJournal {
     pub truncated_tail: bool,
 }
 
-fn io_err(context: &str, e: std::io::Error) -> FiError {
-    FiError::Journal {
-        message: format!("{context}: {e}"),
+/// Journal failures of the shared log keep their typed journal variants.
+impl From<LogError> for FiError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Corrupt { line } => FiError::JournalCorrupt { line },
+            LogError::DiskFull { retries } => FiError::JournalDiskFull { retries },
+            other => FiError::Journal {
+                message: other.to_string(),
+            },
+        }
     }
 }
 
-/// Parses one v3 record line: eight lowercase hex CRC digits, a space, the
-/// JSON entry. Returns `None` on any framing, checksum or parse failure —
-/// the caller decides whether that means a torn tail or corruption.
-fn parse_entry_line(bytes: &[u8]) -> Option<JournalEntry> {
-    let line = std::str::from_utf8(bytes).ok()?;
-    let (crc_hex, json) = line.split_once(' ')?;
-    if crc_hex.len() != 8 {
-        return None;
-    }
-    let expected = u32::from_str_radix(crc_hex, 16).ok()?;
-    if crc32(json.as_bytes()) != expected {
-        return None;
-    }
-    serde_json::from_str::<JournalEntry>(json).ok()
-}
-
-/// Serialises one journal entry into its on-disk line (without the trailing
-/// newline): eight lowercase hex CRC32 digits, a space, the JSON payload.
-/// Shared by [`RunJournal::append`] and [`merge_journals`] so both write the
-/// exact same bytes for the same entry.
-fn entry_line(entry: &JournalEntry) -> Result<String, FiError> {
-    let json = serde_json::to_string(entry).map_err(|e| FiError::Journal {
-        message: format!("serialising journal entry: {e}"),
-    })?;
-    Ok(format!("{:08x} {json}", crc32(json.as_bytes())))
+/// Header check for read-only access, which accepts any campaign.
+fn any_header(_: &JournalHeader) -> Result<(), FiError> {
+    Ok(())
 }
 
 /// A journal read without opening it for appending: the parsed header, the
@@ -225,53 +191,14 @@ pub struct ReadJournal {
 /// unreadable, and [`FiError::JournalCorrupt`] when a record fails its CRC
 /// mid-file with intact records after it.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<ReadJournal, FiError> {
-    let path = path.as_ref();
-    let data =
-        std::fs::read(path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
-    let mut line_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            line_ranges.push((start, i));
-            start = i + 1;
-        }
-    }
-    let mut truncated_tail = start < data.len();
-
-    let mut ranges = line_ranges.into_iter();
-    let (hs, he) = ranges.next().ok_or(FiError::Journal {
-        message: format!("{} holds no complete header line", path.display()),
-    })?;
-    let header_line = std::str::from_utf8(&data[hs..he]).map_err(|_| FiError::Journal {
-        message: format!("{}: header is not valid UTF-8", path.display()),
-    })?;
-    let header: JournalHeader =
-        serde_json::from_str(header_line).map_err(|e| FiError::Journal {
-            message: format!("parsing header of {}: {e}", path.display()),
-        })?;
-
     let mut entries = HashMap::new();
-    let mut corrupt_line: Option<usize> = None;
-    for (idx, (s, e)) in ranges.enumerate() {
-        match parse_entry_line(&data[s..e]) {
-            Some(entry) => {
-                if let Some(line) = corrupt_line {
-                    return Err(FiError::JournalCorrupt { line });
-                }
-                entries.insert(entry.k, entry);
-            }
-            None => {
-                corrupt_line.get_or_insert(idx + 2);
-            }
-        }
-    }
-    if corrupt_line.is_some() {
-        truncated_tail = true;
-    }
+    let scan = record_log::read(path.as_ref(), any_header, |entry: JournalEntry| {
+        entries.insert(entry.k, entry);
+    })?;
     Ok(ReadJournal {
-        header,
+        header: scan.header,
         entries,
-        truncated_tail,
+        truncated_tail: scan.truncated_tail,
     })
 }
 
@@ -300,20 +227,19 @@ pub struct MergeSummary {
 /// ascending coordinate order, so merging the shards of a dense campaign
 /// reproduces the unsharded single-threaded journal byte for byte. Inputs
 /// are never modified; a torn tail in an input only drops the torn line.
+/// The output goes through [`atomic_write`], so a crash mid-merge never
+/// leaves a torn journal at `out`.
 ///
 /// # Errors
 ///
 /// Returns [`FiError::JournalMismatch`] when input headers disagree,
 /// [`FiError::JournalMergeConflict`] when two inputs carry different
-/// records for one coordinate, and [`FiError::Journal`] on I/O failure.
+/// records for one coordinate, [`FiError::Journal`] when an input cannot
+/// be read and [`FiError::ArtifactWrite`] when the output cannot be
+/// written.
 pub fn merge_journals(out: impl AsRef<Path>, inputs: &[PathBuf]) -> Result<MergeSummary, FiError> {
-    let out = out.as_ref();
-    if inputs.is_empty() {
-        return Err(FiError::JournalMergeEmpty);
-    }
-
     let mut reference: Option<JournalHeader> = None;
-    let mut merged: HashMap<u64, JournalEntry> = HashMap::new();
+    let mut merged: BTreeMap<u64, JournalEntry> = BTreeMap::new();
     let mut duplicates = 0usize;
     let mut torn_tails = 0usize;
     for path in inputs {
@@ -327,10 +253,10 @@ pub fn merge_journals(out: impl AsRef<Path>, inputs: &[PathBuf]) -> Result<Merge
         }
         for (k, entry) in shard.entries {
             match merged.entry(k) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                btree_map::Entry::Vacant(slot) => {
                     slot.insert(entry);
                 }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
+                btree_map::Entry::Occupied(mut slot) => {
                     let existing = slot.get_mut();
                     if existing.record != entry.record || existing.stats != entry.stats {
                         return Err(FiError::JournalMergeConflict { k });
@@ -342,50 +268,10 @@ pub fn merge_journals(out: impl AsRef<Path>, inputs: &[PathBuf]) -> Result<Merge
         }
     }
     let header = reference.ok_or(FiError::JournalMergeEmpty)?;
-
-    // The merged journal is written atomically: everything goes to a
-    // sibling `*.tmp` which replaces `out` only after a successful fsync,
-    // so a crash mid-merge can never leave a torn journal at `out`.
-    let mut tmp = out.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let file = File::create(&tmp)
-        .map_err(|e| io_err(&format!("creating merged journal {}", tmp.display()), e))?;
-    let mut writer = BufWriter::new(file);
-    let header_json = serde_json::to_string(&header).map_err(|e| FiError::Journal {
-        message: format!("serialising merged journal header: {e}"),
-    })?;
-    writer
-        .write_all(header_json.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .map_err(|e| io_err("writing merged journal header", e))?;
-    let mut ks: Vec<u64> = merged.keys().copied().collect();
-    ks.sort_unstable();
-    let records = ks.len();
-    for k in &ks {
-        let line = entry_line(&merged[k])?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|e| io_err("writing merged journal entry", e))?;
-    }
-    writer
-        .flush()
-        .map_err(|e| io_err("flushing merged journal", e))?;
-    writer
-        .get_ref()
-        .sync_data()
-        .map_err(|e| io_err("syncing merged journal", e))?;
-    drop(writer);
-    std::fs::rename(&tmp, out).map_err(|e| {
-        io_err(
-            &format!("renaming merged journal into {}", out.display()),
-            e,
-        )
-    })?;
+    atomic_write(out, &record_log::image(&header, merged.values())?)?;
     Ok(MergeSummary {
         inputs: inputs.len(),
-        records,
+        records: merged.len(),
         duplicates,
         torn_tails,
     })
@@ -446,68 +332,29 @@ impl JournalAudit {
 /// Returns [`FiError::Journal`] when the file or its header is unreadable
 /// and [`FiError::JournalCorrupt`] on a mid-file CRC/parse failure.
 pub fn audit_journal(path: impl AsRef<Path>) -> Result<JournalAudit, FiError> {
-    let path = path.as_ref();
-    let data =
-        std::fs::read(path).map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
-    let mut line_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            line_ranges.push((start, i));
-            start = i + 1;
-        }
-    }
-    let mut truncated_tail = start < data.len();
-
-    let mut ranges = line_ranges.into_iter();
-    let (hs, he) = ranges.next().ok_or(FiError::Journal {
-        message: format!("{} holds no complete header line", path.display()),
-    })?;
-    let header_line = std::str::from_utf8(&data[hs..he]).map_err(|_| FiError::Journal {
-        message: "journal header is not valid UTF-8".into(),
-    })?;
-    let _: JournalHeader = serde_json::from_str(header_line).map_err(|e| FiError::Journal {
-        message: format!("parsing journal header: {e}"),
-    })?;
-
     let mut seen: HashMap<u64, JournalEntry> = HashMap::new();
     let mut records = 0usize;
     let mut identical_duplicates = 0usize;
     let mut attempt_upgrades = 0usize;
     let mut conflicts: Vec<u64> = Vec::new();
-    let mut corrupt_line: Option<usize> = None;
-    for (idx, (s, e)) in ranges.enumerate() {
-        match parse_entry_line(&data[s..e]) {
-            Some(entry) => {
-                if let Some(line) = corrupt_line {
-                    return Err(FiError::JournalCorrupt { line });
-                }
-                records += 1;
-                match seen.entry(entry.k) {
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(entry);
-                    }
-                    std::collections::hash_map::Entry::Occupied(slot) => {
-                        let first = slot.get();
-                        if first.record != entry.record || first.stats != entry.stats {
-                            conflicts.push(entry.k);
-                        } else if first.attempts == entry.attempts {
-                            identical_duplicates += 1;
-                        } else {
-                            attempt_upgrades += 1;
-                        }
-                    }
-                }
+    let scan = record_log::read(path.as_ref(), any_header, |entry: JournalEntry| {
+        records += 1;
+        match seen.entry(entry.k) {
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(entry);
             }
-            None => {
-                // Line 1 is the header; entry `idx` sits on line idx+2.
-                corrupt_line.get_or_insert(idx + 2);
+            hash_map::Entry::Occupied(slot) => {
+                let first = slot.get();
+                if first.record != entry.record || first.stats != entry.stats {
+                    conflicts.push(entry.k);
+                } else if first.attempts == entry.attempts {
+                    identical_duplicates += 1;
+                } else {
+                    attempt_upgrades += 1;
+                }
             }
         }
-    }
-    if corrupt_line.is_some() {
-        truncated_tail = true;
-    }
+    })?;
     conflicts.sort_unstable();
     conflicts.dedup();
     Ok(JournalAudit {
@@ -516,15 +363,14 @@ pub fn audit_journal(path: impl AsRef<Path>) -> Result<JournalAudit, FiError> {
         identical_duplicates,
         attempt_upgrades,
         conflicts,
-        truncated_tail,
+        truncated_tail: scan.truncated_tail,
     })
 }
 
 /// An append-only JSONL run journal bound to one campaign.
 #[derive(Debug)]
 pub struct RunJournal {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    log: RecordLog,
     entries: HashMap<u64, (RunRecord, RunStats)>,
     attempts: HashMap<u64, u32>,
     unsynced: usize,
@@ -535,46 +381,10 @@ pub struct RunJournal {
     chaos: Option<Arc<ChaosInjector>>,
 }
 
-/// How many times an append retries a flush that failed with `ENOSPC`
-/// before aborting with [`FiError::JournalDiskFull`]. Retries are spaced by
-/// a short growing sleep — enough for log rotation or tmp-reaping to free
-/// space, short enough that a genuinely full disk fails within a second.
-pub const ENOSPC_APPEND_RETRIES: u32 = 3;
-
-fn is_enospc(e: &std::io::Error) -> bool {
-    e.raw_os_error() == Some(28) // ENOSPC on every unix we run on
-}
-
-fn enospc_error() -> std::io::Error {
-    std::io::Error::from_raw_os_error(28)
-}
-
 impl RunJournal {
-    /// Creates a fresh journal at `path`, writing (and syncing) the header.
-    /// Any existing file at `path` is overwritten.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FiError::Journal`] on I/O failure.
-    pub fn create(path: impl AsRef<Path>, header: &JournalHeader) -> Result<Self, FiError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path).map_err(|e| io_err("creating journal", e))?;
-        let mut writer = BufWriter::new(file);
-        let line = serde_json::to_string(header).map_err(|e| FiError::Journal {
-            message: format!("serialising journal header: {e}"),
-        })?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| io_err("writing journal header", e))?;
-        writer
-            .get_ref()
-            .sync_data()
-            .map_err(|e| io_err("syncing journal header", e))?;
-        Ok(RunJournal {
-            path,
-            writer,
+    fn with_log(log: RecordLog) -> Self {
+        RunJournal {
+            log,
             entries: HashMap::new(),
             attempts: HashMap::new(),
             unsynced: 0,
@@ -583,125 +393,55 @@ impl RunJournal {
             fsyncs: Counter::noop(),
             fsync_micros: Histogram::noop(),
             chaos: None,
-        })
+        }
+    }
+
+    /// Creates a fresh journal at `path`, writing (and syncing) the header.
+    /// Any existing file at `path` is overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FiError::Journal`] on I/O failure.
+    pub fn create(path: impl AsRef<Path>, header: &JournalHeader) -> Result<Self, FiError> {
+        Ok(Self::with_log(RecordLog::create(path.as_ref(), header)?))
     }
 
     /// Opens an existing journal for resumption — verifying its header
     /// against `header`, recovering all complete records and truncating any
-    /// torn final line — or creates a fresh one when `path` does not exist.
+    /// torn final line — or creates a fresh one when `path` does not exist
+    /// or holds only a torn copy of `header`'s line.
     ///
     /// # Errors
     ///
     /// Returns [`FiError::JournalMismatch`] when the on-disk header belongs
-    /// to a different campaign, and [`FiError::Journal`] on I/O or parse
-    /// failures that corruption cannot explain (e.g. an unreadable header).
+    /// to a different campaign, [`FiError::JournalCorrupt`] on mid-file
+    /// corruption, and [`FiError::Journal`] on I/O or parse failures that
+    /// corruption cannot explain (e.g. an unreadable header).
     pub fn open_or_create(
         path: impl AsRef<Path>,
         header: &JournalHeader,
     ) -> Result<(Self, LoadedJournal), FiError> {
-        let path = path.as_ref().to_path_buf();
-        if !path.exists() {
-            let journal = Self::create(&path, header)?;
-            return Ok((
-                journal,
-                LoadedJournal {
-                    recovered: 0,
-                    truncated_tail: false,
-                },
-            ));
-        }
-
-        let data = std::fs::read(&path).map_err(|e| io_err("reading journal", e))?;
-        // Collect the byte ranges of complete (newline-terminated) lines; an
-        // unterminated tail is a torn write and is discarded.
-        let mut line_ranges: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0usize;
-        for (i, &b) in data.iter().enumerate() {
-            if b == b'\n' {
-                line_ranges.push((start, i));
-                start = i + 1;
-            }
-        }
-        let mut truncated_tail = start < data.len();
-
-        let mut ranges = line_ranges.into_iter();
-        let (hs, he) = ranges.next().ok_or(FiError::Journal {
-            message: "journal exists but holds no complete header line".into(),
-        })?;
-        let header_line = std::str::from_utf8(&data[hs..he]).map_err(|_| FiError::Journal {
-            message: "journal header is not valid UTF-8".into(),
-        })?;
-        let on_disk: JournalHeader =
-            serde_json::from_str(header_line).map_err(|e| FiError::Journal {
-                message: format!("parsing journal header: {e}"),
-            })?;
-        header.ensure_matches(&on_disk)?;
-
         let mut entries = HashMap::new();
         let mut attempts = HashMap::new();
-        let mut valid_end = he + 1;
-        // 1-based physical line number of the first invalid record, if any.
-        // Invalid lines at the very end of the file are a torn tail (the
-        // write was interrupted); an invalid line *followed by a valid one*
-        // is silent corruption and poisons the whole journal.
-        let mut corrupt_line: Option<usize> = None;
-        for (idx, (s, e)) in ranges.enumerate() {
-            match parse_entry_line(&data[s..e]) {
-                Some(entry) => {
-                    if let Some(line) = corrupt_line {
-                        return Err(FiError::JournalCorrupt { line });
-                    }
-                    entries.insert(entry.k, entry);
-                    valid_end = e + 1;
-                }
-                None => {
-                    // Line 1 is the header; entry `idx` sits on line idx+2.
-                    corrupt_line.get_or_insert(idx + 2);
-                }
-            }
-        }
-        if corrupt_line.is_some() {
-            // Only trailing lines were invalid: the torn tail of an
-            // interrupted write. Truncate it away below.
-            truncated_tail = true;
-        }
-        for entry in entries.values() {
-            attempts.insert(entry.k, entry.attempts);
-        }
-        let entries: HashMap<u64, (RunRecord, RunStats)> = entries
-            .into_iter()
-            .map(|(k, entry)| (k, (entry.record, entry.stats)))
-            .collect();
-
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("reopening journal", e))?;
-        if valid_end < data.len() {
-            file.set_len(valid_end as u64)
-                .map_err(|e| io_err("truncating torn journal tail", e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seeking journal end", e))?;
-        let recovered = entries.len();
-        Ok((
-            RunJournal {
-                path,
-                writer: BufWriter::new(file),
-                entries,
-                attempts,
-                unsynced: 0,
-                fsync_interval: DEFAULT_FSYNC_INTERVAL,
-                appends: Counter::noop(),
-                fsyncs: Counter::noop(),
-                fsync_micros: Histogram::noop(),
-                chaos: None,
+        let (log, truncated_tail) = RecordLog::open(
+            path.as_ref(),
+            header,
+            |on_disk| header.ensure_matches(on_disk),
+            |entry: JournalEntry| {
+                attempts.insert(entry.k, entry.attempts);
+                entries.insert(entry.k, (entry.record, entry.stats));
             },
-            LoadedJournal {
-                recovered,
-                truncated_tail,
-            },
-        ))
+        )?;
+        let loaded = LoadedJournal {
+            recovered: entries.len(),
+            truncated_tail,
+        };
+        let journal = RunJournal {
+            entries,
+            attempts,
+            ..Self::with_log(log)
+        };
+        Ok((journal, loaded))
     }
 
     /// Sets the fsync batching interval: the journal `fsync`s after every
@@ -742,7 +482,8 @@ impl RunJournal {
     ///
     /// # Errors
     ///
-    /// Returns [`FiError::Journal`] on I/O failure.
+    /// Returns [`FiError::JournalDiskFull`] when `ENOSPC` outlasts the
+    /// bounded retry and [`FiError::Journal`] on any other I/O failure.
     pub fn append(
         &mut self,
         k: u64,
@@ -756,66 +497,8 @@ impl RunJournal {
             record: record.clone(),
             stats: *stats,
         };
-        let line = entry_line(&entry)?;
         let fault = self.chaos.as_ref().and_then(|c| c.on_journal_append());
-        let mut retries: u32 = 0;
-        match fault {
-            Some(IoFaultKind::Eio) => {
-                return Err(io_err(
-                    "appending journal entry",
-                    std::io::Error::from_raw_os_error(5), // EIO
-                ));
-            }
-            Some(IoFaultKind::Short) => {
-                // A torn partial write: a prefix of the line reaches the
-                // file with no newline, then the device fails — exactly the
-                // tail shape `open_or_create` truncates away on resume.
-                let cut = line.len() / 2;
-                let _ = self
-                    .writer
-                    .write_all(&line.as_bytes()[..cut])
-                    .and_then(|()| self.writer.flush());
-                return Err(io_err("appending journal entry", enospc_error()));
-            }
-            Some(IoFaultKind::Enospc | IoFaultKind::EnospcOnce) => loop {
-                let still_failing = fault == Some(IoFaultKind::Enospc) || retries == 0;
-                if !still_failing {
-                    break;
-                }
-                if retries >= ENOSPC_APPEND_RETRIES {
-                    return Err(FiError::JournalDiskFull { retries });
-                }
-                retries += 1;
-                std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-            },
-            None => {}
-        }
-        // Stage the full line in the writer's buffer (memory only, unless
-        // the buffer spills), then make the flush durable under a bounded
-        // ENOSPC retry: transient pressure (log rotation, tmp reaping)
-        // often clears within milliseconds, while a genuinely full disk
-        // aborts with the typed, resumable `JournalDiskFull`.
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .map_err(|e| {
-                if is_enospc(&e) {
-                    FiError::JournalDiskFull { retries }
-                } else {
-                    io_err("appending journal entry", e)
-                }
-            })?;
-        loop {
-            match self.writer.flush() {
-                Ok(()) => break,
-                Err(e) if is_enospc(&e) && retries < ENOSPC_APPEND_RETRIES => {
-                    retries += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-                }
-                Err(e) if is_enospc(&e) => return Err(FiError::JournalDiskFull { retries }),
-                Err(e) => return Err(io_err("appending journal entry", e)),
-            }
-        }
+        self.log.append(&entry, fault)?;
         self.appends.inc();
         self.entries.insert(k, (entry.record, entry.stats));
         self.attempts.insert(k, attempts);
@@ -830,46 +513,11 @@ impl RunJournal {
     ///
     /// # Errors
     ///
-    /// Returns [`FiError::Journal`] on I/O failure.
+    /// As [`RunJournal::append`].
     pub fn sync(&mut self) -> Result<(), FiError> {
         let started = std::time::Instant::now();
         let fault = self.chaos.as_ref().and_then(|c| c.on_journal_fsync());
-        let mut retries: u32 = 0;
-        match fault {
-            // fsync has no "short" shape; both map to a hard I/O error.
-            Some(IoFaultKind::Eio | IoFaultKind::Short) => {
-                return Err(io_err(
-                    "syncing journal",
-                    std::io::Error::from_raw_os_error(5), // EIO
-                ));
-            }
-            Some(IoFaultKind::Enospc | IoFaultKind::EnospcOnce) => loop {
-                let still_failing = fault == Some(IoFaultKind::Enospc) || retries == 0;
-                if !still_failing {
-                    break;
-                }
-                if retries >= ENOSPC_APPEND_RETRIES {
-                    return Err(FiError::JournalDiskFull { retries });
-                }
-                retries += 1;
-                std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-            },
-            None => {}
-        }
-        self.writer
-            .flush()
-            .map_err(|e| io_err("flushing journal", e))?;
-        loop {
-            match self.writer.get_ref().sync_data() {
-                Ok(()) => break,
-                Err(e) if is_enospc(&e) && retries < ENOSPC_APPEND_RETRIES => {
-                    retries += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(5 * u64::from(retries)));
-                }
-                Err(e) if is_enospc(&e) => return Err(FiError::JournalDiskFull { retries }),
-                Err(e) => return Err(io_err("syncing journal", e)),
-            }
-        }
+        self.log.sync(fault)?;
         self.fsyncs.inc();
         self.fsync_micros
             .observe(started.elapsed().as_micros() as u64);
@@ -901,7 +549,7 @@ impl RunJournal {
 
     /// The journal's on-disk path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -911,6 +559,7 @@ mod tests {
     use crate::model::ErrorModel;
     use crate::outcome::RunOutcome;
     use crate::spec::PortTarget;
+    use std::fs::OpenOptions;
 
     fn header() -> JournalHeader {
         let spec = CampaignSpec::paper_style(vec![PortTarget::new("CALC", "pulscnt")], 2);
@@ -994,125 +643,41 @@ mod tests {
         assert_eq!(j.entries()[&1], (record(1_500), stats(99)));
     }
 
-    fn chaos(spec: &str) -> Arc<ChaosInjector> {
-        Arc::new(ChaosInjector::new(
-            crate::chaos::ChaosPlan::parse(spec).expect("chaos spec parses"),
-        ))
-    }
-
     #[test]
-    fn injected_eio_surfaces_typed_and_leaves_tail_parseable() {
-        let path = tmp("chaos-eio");
+    fn chaos_faults_map_to_journal_errors() {
+        // The fault ladder itself is exercised at the shared layer
+        // (`record_log::tests::chaos_ladder_at_every_site`); this pins the
+        // typed error each failure surfaces as through the journal.
+        let path = tmp("chaos-typed");
         let _ = std::fs::remove_file(&path);
         let mut j = RunJournal::create(&path, &header()).unwrap();
-        j.set_chaos(chaos("journal-write=eio@1"));
-        j.append(0, &record(500), &stats(40), 1).unwrap();
-        let err = j.append(1, &record(1_000), &stats(41), 1).unwrap_err();
-        assert!(matches!(err, FiError::Journal { .. }));
-        j.sync().unwrap();
-        drop(j);
-
-        // The failed append wrote nothing: record 0 survives, the file is
-        // clean, and resuming appends exactly where the failure struck.
-        let (mut j, loaded) = RunJournal::open_or_create(&path, &header()).unwrap();
-        assert_eq!(loaded.recovered, 1);
-        assert!(!loaded.truncated_tail);
-        j.append(1, &record(1_000), &stats(41), 1).unwrap();
-        j.sync().unwrap();
-        drop(j);
-        let audit = audit_journal(&path).unwrap();
-        assert!(audit.is_clean());
-        assert_eq!(audit.records, 2);
-    }
-
-    #[test]
-    fn injected_short_write_tears_the_tail_and_resume_recovers() {
-        let path = tmp("chaos-short");
-        let _ = std::fs::remove_file(&path);
-        let clean = tmp("chaos-short-clean");
-        let _ = std::fs::remove_file(&clean);
-
-        let mut j = RunJournal::create(&path, &header()).unwrap();
-        j.set_chaos(chaos("journal-write=short@1"));
-        j.append(0, &record(500), &stats(40), 1).unwrap();
-        let err = j.append(1, &record(1_000), &stats(41), 1).unwrap_err();
-        assert!(matches!(err, FiError::Journal { .. }));
-        drop(j);
-
-        // The torn prefix is on disk; resume truncates it and re-appends.
-        let (mut j, loaded) = RunJournal::open_or_create(&path, &header()).unwrap();
-        assert_eq!(loaded.recovered, 1);
-        assert!(loaded.truncated_tail, "short write left a torn tail");
-        j.append(1, &record(1_000), &stats(41), 1).unwrap();
-        j.sync().unwrap();
-        drop(j);
-
-        // Byte-identical to a journal that never saw the fault.
-        let mut u = RunJournal::create(&clean, &header()).unwrap();
-        u.append(0, &record(500), &stats(40), 1).unwrap();
-        u.append(1, &record(1_000), &stats(41), 1).unwrap();
-        u.sync().unwrap();
-        drop(u);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(&clean).unwrap()
-        );
-        assert!(audit_journal(&path).unwrap().is_clean());
-    }
-
-    #[test]
-    fn persistent_enospc_exhausts_retries_into_disk_full() {
-        let path = tmp("chaos-enospc");
-        let _ = std::fs::remove_file(&path);
-        let mut j = RunJournal::create(&path, &header()).unwrap();
-        j.set_chaos(chaos("journal-write=enospc@0"));
-        let err = j.append(0, &record(500), &stats(40), 1).unwrap_err();
-        assert!(
-            matches!(err, FiError::JournalDiskFull { retries } if retries == ENOSPC_APPEND_RETRIES)
-        );
-        // The journal is still usable once "space is freed" (the fault was
-        // scheduled only for append 0's index).
-        j.append(0, &record(500), &stats(40), 1).unwrap();
-        j.sync().unwrap();
-        drop(j);
-        let audit = audit_journal(&path).unwrap();
-        assert!(audit.is_clean());
-        assert_eq!(audit.records, 1);
-    }
-
-    #[test]
-    fn transient_enospc_is_absorbed_by_the_bounded_retry() {
-        let path = tmp("chaos-enospc-once");
-        let _ = std::fs::remove_file(&path);
-        let mut j = RunJournal::create(&path, &header()).unwrap();
-        j.set_chaos(chaos(
-            "journal-write=enospc-once@0,journal-fsync=enospc-once@0",
+        j.set_chaos(Arc::new(ChaosInjector::new(
+            crate::chaos::ChaosPlan::parse(
+                "journal-write=eio@0,journal-write=enospc@1,journal-fsync=eio@0,\
+                 journal-write=short@3",
+            )
+            .unwrap(),
+        )));
+        assert!(matches!(
+            j.append(0, &record(500), &stats(40), 1).unwrap_err(),
+            FiError::Journal { .. }
         ));
-        j.append(0, &record(500), &stats(40), 1)
-            .expect("transient ENOSPC is retried away");
-        j.sync().expect("transient fsync ENOSPC is retried away");
-        drop(j);
-        let (j, loaded) = RunJournal::open_or_create(&path, &header()).unwrap();
-        assert_eq!(loaded.recovered, 1);
-        assert!(!loaded.truncated_tail);
-        drop(j);
-    }
-
-    #[test]
-    fn injected_fsync_eio_surfaces_typed() {
-        let path = tmp("chaos-fsync");
-        let _ = std::fs::remove_file(&path);
-        let mut j = RunJournal::create(&path, &header()).unwrap();
-        j.set_chaos(chaos("journal-fsync=eio@0"));
+        assert_eq!(
+            j.append(0, &record(500), &stats(40), 1).unwrap_err(),
+            FiError::JournalDiskFull {
+                retries: ENOSPC_APPEND_RETRIES
+            }
+        );
         j.append(0, &record(500), &stats(40), 1).unwrap();
-        let err = j.sync().unwrap_err();
-        assert!(matches!(err, FiError::Journal { .. }));
-        // The data was flushed to the OS before fsync failed; a reopen
-        // still recovers it.
+        assert!(matches!(j.sync().unwrap_err(), FiError::Journal { .. }));
+        assert!(matches!(
+            j.append(1, &record(1_000), &stats(41), 1).unwrap_err(),
+            FiError::Journal { .. }
+        ));
         drop(j);
-        let (j, loaded) = RunJournal::open_or_create(&path, &header()).unwrap();
+        let (_, loaded) = RunJournal::open_or_create(&path, &header()).unwrap();
         assert_eq!(loaded.recovered, 1);
-        drop(j);
+        assert!(loaded.truncated_tail);
     }
 
     #[test]
@@ -1132,7 +697,7 @@ mod tests {
                 record: record(999),
                 stats: stats(41),
             };
-            let line = entry_line(&entry).unwrap();
+            let line = record_log::frame(&entry).unwrap();
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             writeln!(f, "{line}").unwrap();
         }
@@ -1166,7 +731,7 @@ mod tests {
                 record: record(500),
                 stats: stats(40),
             };
-            let line = entry_line(&entry).unwrap();
+            let line = record_log::frame(&entry).unwrap();
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             writeln!(f, "{line}").unwrap();
         }

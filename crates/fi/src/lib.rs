@@ -50,6 +50,7 @@ pub mod latency;
 pub mod model;
 pub mod outcome;
 pub mod process;
+pub mod record_log;
 pub mod results;
 pub mod shard;
 pub mod spec;

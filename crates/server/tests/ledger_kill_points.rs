@@ -2,11 +2,11 @@
 //! ledger and a restart replays exactly the durably acknowledged records.
 //!
 //! Each case builds a random submission/close history, then cuts the file
-//! at a random offset — the on-disk shape an arbitrary kill point leaves
-//! behind, since appends are sequential. Reopening must succeed, replay
-//! must equal an independent line-boundary model of the surviving prefix,
-//! and the truncated ledger must accept further appends that themselves
-//! survive a reopen.
+//! at a random offset, from byte 0 on — the on-disk shape an arbitrary
+//! kill point leaves behind, since the header and every append are written
+//! sequentially. Reopening must succeed, replay must equal an independent
+//! line-boundary model of the surviving prefix, and the truncated ledger
+//! must accept further appends that themselves survive a reopen.
 
 use permea_server::{CampaignState, Ledger, LedgerRecord, ReplayedCampaign};
 use proptest::prelude::*;
@@ -86,6 +86,7 @@ proptest! {
     fn any_kill_point_replays_the_acknowledged_prefix(
         ops in prop::collection::vec(any::<u8>(), 1..12),
         cut_pick in any::<u64>(),
+        zone in 0u8..4,
     ) {
         let path = tmp_ledger("any-kill-point");
         let (mut ledger, _, _) = Ledger::open(&path).unwrap();
@@ -102,11 +103,13 @@ proptest! {
         }
         drop(ledger);
 
-        // Kill point: anywhere from just after the header to end-of-file.
+        // Kill point: anywhere from byte 0 — a kill between creating the
+        // file and syncing its header — to end-of-file. One case in four
+        // cuts inside the header line, which a uniform cut rarely hits.
         let data = std::fs::read(&path).unwrap();
-        let header_end = data.iter().position(|&b| b == b'\n').unwrap() as u64 + 1;
-        let len = data.len() as u64;
-        let cut = header_end + cut_pick % (len - header_end + 1);
+        let header_end = data.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let span = if zone == 0 { header_end } else { data.len() + 1 };
+        let cut = cut_pick % span as u64;
         std::fs::OpenOptions::new()
             .write(true)
             .open(&path)
@@ -145,15 +148,17 @@ proptest! {
     }
 }
 
-/// A kill during the very first start can tear the header itself; that is
-/// a typed startup error, not a silent empty ledger.
+/// A file that is not a torn copy of the ledger — here a header with a
+/// different version, cut short — is a typed startup error, and is never
+/// overwritten.
 #[test]
-fn torn_header_is_a_typed_error() {
-    let path = tmp_ledger("torn-header");
-    std::fs::write(&path, "{\"version\"").unwrap();
+fn foreign_header_is_a_typed_error_and_left_untouched() {
+    let path = tmp_ledger("foreign-header");
+    std::fs::write(&path, "{\"version\":2").unwrap();
     let err = Ledger::open(&path).unwrap_err();
     assert!(
         err.to_string().contains("header"),
         "unexpected error: {err}"
     );
+    assert_eq!(std::fs::read(&path).unwrap(), b"{\"version\":2");
 }
