@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! study [--quick | --full | --smoke] [--out DIR] [--threads N] [--seed S]
-//!       [--replay] [--compare-paths] [--journal] [--resume DIR]
+//!       [--journal] [--resume DIR]
 //!       [--progress] [--metrics-out PATH] [--events PATH]
 //!       [--html-out PATH] [--fsync-interval N]
 //!       [--isolation process|in-process]
@@ -28,8 +28,6 @@
 //! `--quick` (default) runs the reduced configuration (seconds);
 //! `--full` runs the paper's 52 000-injection campaign (minutes);
 //! `--smoke` an even smaller configuration for CI smoke tests.
-//! `--replay` disables snapshot fast-forward (replay every run from tick 0);
-//! `--compare-paths` times the campaign both ways and reports the speedup.
 //!
 //! Telemetry: the campaign always collects metrics (counters, phase spans,
 //! fsync latency) and writes them as `metrics.json` next to `result.json`
@@ -57,8 +55,8 @@
 //! uninterrupted run. SIGINT/SIGTERM stop the campaign cleanly: the journal
 //! is synced and resume instructions are printed. The journal records the
 //! spec, seed and horizon, so resuming with a different configuration is
-//! rejected instead of silently mixing campaigns (thread count and
-//! `--replay` may differ freely — they do not affect results).
+//! rejected instead of silently mixing campaigns (the thread count may
+//! differ freely — it does not affect results).
 //!
 //! `--isolation process` executes injection runs in a supervised pool of
 //! worker processes (re-execs of this binary in `--worker` mode) instead of
@@ -136,7 +134,7 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage: study [--quick | --full | --smoke] [--out DIR] [--threads N] [--seed S] \
-         [--replay] [--compare-paths] [--journal] [--resume DIR] \
+         [--journal] [--resume DIR] \
          [--progress] [--metrics-out PATH] [--events PATH] [--html-out PATH] \
          [--fsync-interval N] \
          [--isolation process|in-process] [--workers N] [--run-timeout MS] \
@@ -284,8 +282,6 @@ fn main() -> ExitCode {
 
     let mut config = StudyConfig::quick();
     let mut out_dir = PathBuf::from("artifacts/study");
-    let mut replay = false;
-    let mut compare_paths = false;
     let mut journal_runs = false;
     let mut progress = false;
     let mut metrics_out: Option<PathBuf> = None;
@@ -305,8 +301,6 @@ fn main() -> ExitCode {
             "--quick" => config = StudyConfig::quick(),
             "--full" => config = StudyConfig::paper(),
             "--smoke" => config = StudyConfig::smoke(),
-            "--replay" => replay = true,
-            "--compare-paths" => compare_paths = true,
             "--journal" => journal_runs = true,
             "--progress" => progress = true,
             "--out" => match args.next() {
@@ -405,7 +399,6 @@ fn main() -> ExitCode {
             _ => usage(),
         }
     }
-    config.fast_forward = !replay;
 
     // Telemetry: messages route through the stderr sink (same output as the
     // old eprintln! path); --progress and --events add their sinks.
@@ -546,14 +539,13 @@ fn main() -> ExitCode {
                 None => String::new(),
             };
             obs.info(format!(
-                "resume with: study {} --resume {}{}{}{}",
+                "resume with: study {} --resume {}{}{}",
                 if config.masses >= 5 {
                     "--full"
                 } else {
                     "--quick"
                 },
                 out_dir.display(),
-                if replay { " --replay" } else { "" },
                 adaptive_hint,
                 shard.map_or(String::new(), |s| format!(" --shard {s}")),
             ));
@@ -589,7 +581,7 @@ fn main() -> ExitCode {
             return ExitCode::from(code);
         }
     };
-    let first_secs = started.elapsed().as_secs_f64();
+    let campaign_secs = started.elapsed().as_secs_f64();
     if config.adaptive.is_some() {
         let dense = output.spec.run_count() as u64;
         let sampled = output.result.total_runs;
@@ -600,12 +592,7 @@ fn main() -> ExitCode {
         ));
     }
     obs.info(format!(
-        "campaign finished in {first_secs:.1}s ({}{})",
-        if config.fast_forward {
-            "fast-forward"
-        } else {
-            "replay-from-zero"
-        },
+        "campaign finished in {campaign_secs:.1}s (fast-forward{})",
         if journal_runs { ", journaled" } else { "" }
     ));
     if output.result.outcomes.quarantined() > 0 {
@@ -615,27 +602,6 @@ fn main() -> ExitCode {
             output.result.outcomes.panicked,
             output.result.outcomes.hung,
             output.result.outcomes.crashed
-        ));
-    }
-
-    if compare_paths {
-        let mut other = config.clone();
-        other.fast_forward = !config.fast_forward;
-        let started = std::time::Instant::now();
-        if let Err(e) = Study::new(other).run() {
-            obs.error(format!("comparison path failed: {e}"));
-            return ExitCode::FAILURE;
-        }
-        let other_secs = started.elapsed().as_secs_f64();
-        let (fast, slow) = if config.fast_forward {
-            (first_secs, other_secs)
-        } else {
-            (other_secs, first_secs)
-        };
-        obs.info(format!(
-            "path comparison: fast-forward {fast:.1}s vs replay-from-zero {slow:.1}s \
-             ({:.1}x speedup)",
-            slow / fast
         ));
     }
 

@@ -8,6 +8,30 @@
 //! reads them — and afterwards compares each output trace of the targeted
 //! module against the Golden Run. One error per run, as in the paper.
 //!
+//! # Stages
+//!
+//! [`Campaign::run_resumable_budgeted`] (behind every `run*` entry point)
+//! is a sequence of five stages:
+//!
+//! 1. **prepare** — validate the spec, resolve its targets, record the
+//!    golden runs. Worker processes run the same stage.
+//! 2. **claim** — hand an executor thread its next coordinate: the dense
+//!    cursor (shard-aware, skipping journaled runs) or the adaptive
+//!    planner, under the work budget and the stop and failure flags.
+//! 3. **execute** — run the coordinate in the sandbox.
+//! 4. **commit** — account the finished run, feed the planner, append it
+//!    to the journal, report progress; finally merge with the journal.
+//! 5. **assemble** — quarantine threshold and pair statistics, purely from
+//!    the merged records.
+//!
+//! In-process and process-isolated campaigns share every stage and differ
+//! only in the transport of *execute*: an in-process thread runs the
+//! sandbox itself, while under [`IsolationMode::Process`] each thread
+//! ships batches of coordinates to its worker process over a
+//! `WorkerClient` and owns that worker's respawns, retries and the
+//! in-process fallback. The supervisor then records bare golden runs; its
+//! workers record their own snapshot bundles.
+//!
 //! # Fast-forward
 //!
 //! With [`CampaignConfig::fast_forward`] enabled (the default), the golden
@@ -32,7 +56,9 @@ use crate::error::FiError;
 use crate::golden::GoldenRun;
 use crate::journal::{JournalHeader, RunJournal, DEFAULT_FSYNC_INTERVAL};
 use crate::outcome::{classify_unwind, OutcomeTally, RunOutcome};
-use crate::process::{backoff, Attempt, IsolationMode, ProcessIsolation, ToWorker, WorkerClient};
+use crate::process::{
+    backoff, Attempt, IsolationMode, ProcessIsolation, ToWorker, WorkerClient, WorkerCommand,
+};
 use crate::results::{CampaignResult, PairStat, RunRecord, RunStats};
 use crate::shard::Shard;
 use crate::spec::{CampaignSpec, InjectionScope};
@@ -43,10 +69,11 @@ use permea_runtime::tracing::TraceSet;
 use permea_runtime::watchdog::WatchdogConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Spacing of the periodic golden checkpoints used for convergence
@@ -238,9 +265,13 @@ impl GoldenBundle {
     }
 }
 
-/// What [`Campaign::prepare`] yields: the resolved targets, the golden
-/// bundles and the per-case golden tick counts.
-pub(crate) type Prepared = (Vec<ResolvedTarget>, Vec<GoldenBundle>, Vec<u64>);
+/// What [`Campaign::prepare`] yields: the validated spec, its resolved
+/// targets and one golden bundle per workload case.
+pub(crate) struct Prepared<'s> {
+    spec: &'s CampaignSpec,
+    targets: Vec<ResolvedTarget>,
+    goldens: Vec<GoldenBundle>,
+}
 
 /// Resolved, immutable description of one target (probe-validated once).
 #[derive(Debug, Clone)]
@@ -782,22 +813,33 @@ impl<'f> Campaign<'f> {
         JournalHeader::new(spec, self.config.master_seed, self.config.horizon_ms)
     }
 
-    /// Validates the spec, resolves its targets and records the golden
-    /// bundles — the deterministic preamble both an in-process campaign and
-    /// a worker process perform before any injection run. Returns the
-    /// resolved targets, the golden bundles and the per-case golden tick
-    /// counts.
+    /// Stage 1, **prepare**: validates the spec, resolves its targets and
+    /// records the golden runs (bare ones under process isolation).
     ///
     /// # Errors
     ///
     /// As for [`Campaign::run`]'s validation phase.
-    pub(crate) fn prepare(&self, spec: &CampaignSpec) -> Result<Prepared, FiError> {
+    pub(crate) fn prepare<'s>(&self, spec: &'s CampaignSpec) -> Result<Prepared<'s>, FiError> {
         spec.validate()?;
         let targets = self.resolve_targets(spec)?;
-        let goldens = self.golden_bundles(spec)?;
+        let goldens = {
+            let _golden_span = self.obs.span("golden");
+            match self.config.isolation {
+                IsolationMode::Process(_) => self
+                    .goldens(spec.cases)?
+                    .into_iter()
+                    .map(GoldenBundle::bare)
+                    .collect(),
+                IsolationMode::InProcess => self.golden_bundles(spec)?,
+            }
+        };
         let golden_ticks: Vec<u64> = goldens.iter().map(|g| g.run.ticks).collect();
         spec.validate_instants(self.config.horizon_ms, &golden_ticks)?;
-        Ok((targets, goldens, golden_ticks))
+        Ok(Prepared {
+            spec,
+            targets,
+            goldens,
+        })
     }
 
     /// Executes coordinate `k` under the in-process sandbox
@@ -813,91 +855,66 @@ impl<'f> Campaign<'f> {
     /// — never run deaths, which unwind into the quarantined record.
     pub(crate) fn execute_sandboxed(
         &self,
-        spec: &CampaignSpec,
-        targets: &[ResolvedTarget],
-        goldens: &[GoldenBundle],
+        prepared: &Prepared,
         k: usize,
         arena: &mut Option<TraceSet>,
-    ) -> Result<(RunRecord, RunStats), FiError> {
+    ) -> RunResult {
+        let spec = prepared.spec;
         let (ti, mi, wi, ci) = spec.coordinate(k);
-        let target = &targets[ti];
-        let model = spec.models[mi];
-        let time_ms = spec.times_ms[wi];
+        let (model, time_ms, golden) = (spec.models[mi], spec.times_ms[wi], &prepared.goldens[ci]);
         let seed = self.config.master_seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         // Sandbox the run: a panicking or hanging simulation is quarantined
         // as a classified outcome, not a dead campaign.
         let sandboxed = catch_unwind(AssertUnwindSafe(|| {
-            self.run_one(spec, target, model, time_ms, &goldens[ci], seed, arena)
+            let target = &prepared.targets[ti];
+            self.run_one(spec, target, model, time_ms, golden, seed, arena)
         }));
         match sandboxed {
-            Ok(Ok((original, corrupted, divergences, stats))) => Ok((
-                RunRecord {
-                    module: target.module_name.clone(),
-                    input_signal: target.input_signal.clone(),
-                    model,
-                    time_ms,
-                    case: ci,
-                    original_value: original,
-                    corrupted_value: corrupted,
-                    first_divergence: divergences,
-                    outcome: RunOutcome::Completed,
-                },
-                stats,
-            )),
+            Ok(Ok((original, corrupted, divergences, stats))) => {
+                let (mut record, stats) = coordinate_run(prepared, k, RunOutcome::Completed, stats);
+                record.original_value = original;
+                record.corrupted_value = corrupted;
+                record.first_divergence = divergences;
+                Ok((record, stats))
+            }
             Ok(Err(e)) => Err(e),
-            Err(payload) => Ok((
-                RunRecord {
-                    module: target.module_name.clone(),
-                    input_signal: target.input_signal.clone(),
-                    model,
-                    time_ms,
-                    case: ci,
-                    original_value: 0,
-                    corrupted_value: 0,
-                    first_divergence: Vec::new(),
-                    outcome: classify_unwind(payload),
-                },
-                // The window is lost to the unwind; whether the run forked
-                // is still deterministic from the bundle.
-                RunStats {
-                    sim_ticks: 0,
-                    forked: goldens[ci].snapshot_at(time_ms).is_some(),
-                    converged_ms: None,
-                },
-            )),
+            // The window is lost to the unwind; whether the run forked is
+            // still deterministic from the bundle.
+            Err(payload) => {
+                let forked = golden.snapshot_at(time_ms).is_some();
+                let stats = RunStats {
+                    forked,
+                    ..RunStats::default()
+                };
+                Ok(coordinate_run(prepared, k, classify_unwind(payload), stats))
+            }
         }
     }
 
-    /// The quarantined record for a coordinate whose worker *process* died:
-    /// the supervisor never saw a window, so values and divergences are
-    /// zeroed and the stats are empty — deterministically, so journals and
-    /// resumed campaigns agree.
-    fn death_record(
-        &self,
-        spec: &CampaignSpec,
-        targets: &[ResolvedTarget],
-        k: usize,
-        outcome: RunOutcome,
-    ) -> (RunRecord, RunStats) {
-        let (ti, mi, wi, ci) = spec.coordinate(k);
-        (
-            RunRecord {
-                module: targets[ti].module_name.clone(),
-                input_signal: targets[ti].input_signal.clone(),
-                model: spec.models[mi],
-                time_ms: spec.times_ms[wi],
-                case: ci,
-                original_value: 0,
-                corrupted_value: 0,
-                first_divergence: Vec::new(),
-                outcome,
-            },
-            RunStats {
-                sim_ticks: 0,
-                forked: false,
-                converged_ms: None,
-            },
-        )
+    /// Preflight: refuses to start a journaled campaign on a filesystem
+    /// that is about to run out of space — aborting up front with a typed
+    /// error beats dying mid-run on ENOSPC. An unknown reading (exotic
+    /// platform, statvfs failure) proceeds.
+    fn check_free_disk(&self, journal: &Path) -> Result<(), FiError> {
+        let free = self
+            .chaos
+            .as_ref()
+            .and_then(|c| c.free_disk_override())
+            .or_else(|| crate::env::free_disk_bytes(journal));
+        let Some(free) = free else { return Ok(()) };
+        if free < MIN_FREE_DISK_BYTES {
+            return Err(FiError::DiskSpaceLow {
+                free_bytes: free,
+                needed_bytes: MIN_FREE_DISK_BYTES,
+            });
+        }
+        if free < WARN_FREE_DISK_BYTES {
+            self.obs.warn(format!(
+                "journal filesystem has only {free} bytes free (warning \
+                 threshold {WARN_FREE_DISK_BYTES}); the campaign may abort on ENOSPC"
+            ));
+        }
+        Ok(())
     }
 
     /// Runs the full campaign.
@@ -977,939 +994,917 @@ impl<'f> Campaign<'f> {
         if self.config.journal_fsync_interval == 0 {
             return Err(FiError::InvalidFsyncInterval);
         }
-        let obs = &self.obs;
-        let ins = Instruments::resolve(obs);
-        let _campaign_span = obs.span("campaign");
-        let campaign_started = Instant::now();
-        // Campaign-relative monotonic clock stamped into every timeline
-        // event (`Progress::elapsed_micros`, adaptive snapshots, run
-        // incidents). Deliberately *not* `obs.now_micros()`: the telemetry
-        // epoch starts at handle creation and would fold per-process setup
-        // time into the timeline, and each session of a resumed campaign
-        // must restart this clock at zero so consumers can stitch sessions
-        // contiguously.
-        let campaign_elapsed = move || campaign_started.elapsed().as_micros() as u64;
-        // Quarantined outcomes and worker-death retries land on the event
-        // timeline as run incidents; completed runs stay off it so the
-        // event rate tracks trouble, not campaign size.
-        let emit_incident = |k: u64, kind: &str, detail: &str| {
-            if obs.enabled() {
-                obs.emit(&Event::RunIncident {
-                    k,
-                    kind,
-                    detail,
-                    elapsed_micros: campaign_elapsed(),
-                });
-            }
-        };
+        let _campaign_span = self.obs.span("campaign");
+        let started = Instant::now();
+        let prepared = self.prepare(spec)?;
+        let execution = Execution::open(self, &prepared, started, journal, cancel, max_new_runs)?;
+        execution.execute()?;
+        let merged = execution.finish()?;
+        let _merge_span = self.obs.span("merge");
+        assemble(&prepared, merged, &self.config)
+    }
+}
 
-        let process_cfg = match &self.config.isolation {
-            IsolationMode::Process(p) => Some(p),
-            IsolationMode::InProcess => None,
-        };
+/// Coordinate `k`'s record with nothing observed (zeroed values, no
+/// divergences), paired with `stats`: what a quarantined run records.
+fn coordinate_run(
+    prepared: &Prepared,
+    k: usize,
+    outcome: RunOutcome,
+    stats: RunStats,
+) -> (RunRecord, RunStats) {
+    let spec = prepared.spec;
+    let (ti, mi, wi, ci) = spec.coordinate(k);
+    let target = &prepared.targets[ti];
+    let record = RunRecord {
+        module: target.module_name.clone(),
+        input_signal: target.input_signal.clone(),
+        model: spec.models[mi],
+        time_ms: spec.times_ms[wi],
+        case: ci,
+        original_value: 0,
+        corrupted_value: 0,
+        first_divergence: Vec::new(),
+        outcome,
+    };
+    (record, stats)
+}
 
-        spec.validate()?;
-        let targets = self.resolve_targets(spec)?;
-        let goldens = {
-            let _golden_span = obs.span("golden");
-            if process_cfg.is_some() {
-                // Workers record their own snapshot-bearing bundles; the
-                // supervisor needs golden lengths only for validation,
-                // accounting and the circuit-breaker fallback, so it skips
-                // the snapshot capture.
-                self.goldens(spec.cases)?
-                    .into_iter()
-                    .map(GoldenBundle::bare)
-                    .collect::<Vec<_>>()
-            } else {
-                self.golden_bundles(spec)?
-            }
-        };
-        let golden_ticks: Vec<u64> = goldens.iter().map(|g| g.run.ticks).collect();
-        spec.validate_instants(self.config.horizon_ms, &golden_ticks)?;
+/// A finished run, or the infrastructure failure that ended it.
+type RunResult = Result<(RunRecord, RunStats), FiError>;
+
+/// Progress bookkeeping, advanced only when telemetry is enabled.
+struct ProgressCounts {
+    /// A dense shard owns only its slice of the grid; adaptive campaigns
+    /// report against the dense total (an upper bound).
+    total: u64,
+    recovered: u64,
+    done: AtomicU64,
+    quarantined: AtomicU64,
+    forked: AtomicU64,
+    executed: AtomicU64,
+}
+
+/// What the claim, execute and commit stages of one
+/// [`Campaign::run_resumable_budgeted`] call share between threads.
+struct Execution<'a> {
+    campaign: &'a Campaign<'a>,
+    prepared: &'a Prepared<'a>,
+    ins: Instruments,
+    /// Zero of the clock stamped into timeline events. Not
+    /// `obs.now_micros()`, whose epoch folds in per-process setup: every
+    /// session of a resumed campaign restarts at zero so consumers can
+    /// stitch sessions.
+    started: Instant,
+    /// Runs an earlier execution journaled (the header was verified
+    /// against this campaign, so coordinates are comparable).
+    done: HashMap<u64, (RunRecord, RunStats)>,
+    source: WorkSource,
+    journal: Option<Mutex<&'a mut RunJournal>>,
+    executed: Mutex<Vec<(u64, RunRecord)>>,
+    /// First infrastructure failure; quarantined runs never land here.
+    fail: Mutex<Option<FiError>>,
+    cancel: Option<&'a AtomicBool>,
+    /// Runs this call may still issue (journal replays are free). Negative
+    /// once a claim was denied, which stops the campaign like `cancel`.
+    budget: Option<AtomicI64>,
+    progress: ProgressCounts,
+}
+
+impl<'a> Execution<'a> {
+    /// Accounts the golden and journaled runs, checks the journal's free
+    /// disk space and sets up the work source: the dense cursor, or the
+    /// adaptive planner seeded so its decisions replay on resume.
+    fn open(
+        campaign: &'a Campaign<'a>,
+        prepared: &'a Prepared<'a>,
+        started: Instant,
+        journal: Option<&'a mut RunJournal>,
+        cancel: Option<&'a AtomicBool>,
+        max_new_runs: Option<u64>,
+    ) -> Result<Self, FiError> {
+        let (config, spec, goldens) = (&campaign.config, prepared.spec, &prepared.goldens);
+        let ins = Instruments::resolve(&campaign.obs);
         ins.golden_runs.add(goldens.len() as u64);
-        ins.golden_ticks.add(golden_ticks.iter().sum());
+        ins.golden_ticks
+            .add(goldens.iter().map(|g| g.run.ticks).sum());
         ins.snapshots
             .add(goldens.iter().map(|g| g.snapshot_count() as u64).sum());
-
-        let run_count = spec.run_count();
-        let shard = self.config.shard;
-        // Maps the dense cursor's position `j` to the coordinate this shard
-        // executes: the j-th owned position of the ascending enumeration.
-        // With no shard this is the identity.
-        let dense_coord = move |j: usize| {
-            let (index, count) = shard.map_or((0, 1), |s| (s.index(), s.count()));
-            let k = index + j * count;
-            (k < run_count).then_some(k)
-        };
-        let configured_threads = process_cfg.map_or(self.config.threads, |p| p.workers);
-        let threads = if configured_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            configured_threads
-        };
-
-        // Runs already journaled by an earlier (interrupted) execution; the
-        // journal header was verified against this campaign on open, so the
-        // coordinate indices are directly comparable.
+        let run_count = spec.run_count() as u64;
         let done: HashMap<u64, (RunRecord, RunStats)> = journal
             .as_ref()
             .map(|j| j.entries().clone())
             .unwrap_or_default();
-        debug_assert!(done.keys().all(|&k| (k as usize) < run_count));
-        let adaptive_mode = spec.adaptive.is_some();
-        // What "all done" means for the progress display: a dense shard owns
-        // only its slice of the grid; adaptive campaigns report against the
-        // dense total (an upper bound the planner usually undercuts).
-        let progress_total = if adaptive_mode {
-            run_count as u64
-        } else {
-            shard.map_or(run_count as u64, |s| s.len(run_count as u64))
-        };
+        debug_assert!(done.keys().all(|&k| k < run_count));
+        let adaptive = spec.adaptive.is_some();
         // Recovered runs merge into the deterministic totals exactly as if
         // they had been executed here — that is what makes a resumed
         // campaign's `campaign.*` metrics equal an uninterrupted one's.
         // Under an adaptive plan a journaled run only counts once the
         // planner re-issues its coordinate, so accounting happens at replay
         // time in `claim` instead.
-        if !adaptive_mode {
-            ins.runs_recovered.add(done.len() as u64);
+        let (recovered, mut quarantined) = (done.len() as u64, 0);
+        if !adaptive {
+            ins.runs_recovered.add(recovered);
             for (record, stats) in done.values() {
-                ins.account(record, stats, golden_ticks[record.case]);
+                ins.account(record, stats, goldens[record.case].run.ticks);
+                quarantined += u64::from(!record.outcome.is_completed());
             }
         }
-        // Preflight: refuse to start a journaled campaign on a filesystem
-        // that is about to run out of space — aborting up front with a
-        // typed error beats dying mid-run on ENOSPC. An unknown reading
-        // (exotic platform, statvfs failure) proceeds as before.
         if let Some(j) = &journal {
-            let free = self
-                .chaos
-                .as_ref()
-                .and_then(|c| c.free_disk_override())
-                .or_else(|| crate::env::free_disk_bytes(j.path()));
-            if let Some(free) = free {
-                if free < MIN_FREE_DISK_BYTES {
-                    return Err(FiError::DiskSpaceLow {
-                        free_bytes: free,
-                        needed_bytes: MIN_FREE_DISK_BYTES,
-                    });
-                }
-                if free < WARN_FREE_DISK_BYTES {
-                    obs.warn(format!(
-                        "journal filesystem has only {free} bytes free (warning \
-                         threshold {WARN_FREE_DISK_BYTES}); the campaign may abort on ENOSPC"
-                    ));
-                }
-            }
+            campaign.check_free_disk(j.path())?;
         }
         let journal = journal.map(|j| {
-            j.set_fsync_interval(self.config.journal_fsync_interval);
-            j.attach_obs(obs);
-            if let Some(chaos) = &self.chaos {
+            j.set_fsync_interval(config.journal_fsync_interval);
+            j.attach_obs(&campaign.obs);
+            if let Some(chaos) = &campaign.chaos {
                 j.set_chaos(chaos.clone());
             }
             Mutex::new(j)
         });
-
-        // Progress bookkeeping, only ever touched when telemetry is enabled.
-        // Adaptive replays count journaled runs as they are re-issued.
-        let recovered = done.len() as u64;
-        let progress_done = AtomicU64::new(if adaptive_mode { 0 } else { recovered });
-        let progress_quarantined = AtomicU64::new(if adaptive_mode {
-            0
-        } else {
-            done.values()
-                .filter(|(r, _)| !r.outcome.is_completed())
-                .count() as u64
-        });
-        let progress_forked = AtomicU64::new(0);
-        let progress_executed = AtomicU64::new(0);
-
-        // Shared work source over coordinate indices: the dense cursor, or
-        // the adaptive planner seeded so its decisions replay on resume.
-        let source = match &spec.adaptive {
-            Some(_) => {
-                let outputs: Vec<usize> = targets.iter().map(|t| t.output_signals.len()).collect();
-                WorkSource::Adaptive(
-                    Box::new(Mutex::new(AdaptiveState {
-                        planner: AdaptivePlanner::new(
-                            spec,
-                            &outputs,
-                            self.config.master_seed,
-                            shard,
-                        )?,
-                        pending: Vec::new(),
-                        outstanding: 0,
-                        finished: false,
-                        sampled: Vec::new(),
-                        closed_reported: vec![false; targets.len()],
-                    })),
-                    Condvar::new(),
-                )
-            }
-            None => WorkSource::Dense(AtomicUsize::new(0)),
+        let progress = ProgressCounts {
+            total: match config.shard {
+                Some(s) if !adaptive => s.len(run_count),
+                _ => run_count,
+            },
+            recovered,
+            done: AtomicU64::new(if adaptive { 0 } else { recovered }),
+            quarantined: AtomicU64::new(quarantined),
+            forked: AtomicU64::new(0),
+            executed: AtomicU64::new(0),
         };
-        let executed: Mutex<Vec<(u64, RunRecord)>> = Mutex::new(Vec::new());
-        // First infrastructure failure (journal I/O, poisoned lock, ...);
-        // quarantined runs never land here.
-        let fail: Mutex<Option<FiError>> = Mutex::new(None);
-        let set_fail = |e: FiError| {
-            if let Ok(mut slot) = fail.lock() {
-                slot.get_or_insert(e);
-            }
-        };
-
-        // Work budget: decremented only when a coordinate is actually
-        // issued (journal replays are free). Exhaustion raises a flag that
-        // every stop check treats exactly like cancellation, so in-flight
-        // runs still commit and the journal still syncs.
-        let budget: Option<AtomicI64> =
-            max_new_runs.map(|n| AtomicI64::new(n.min(i64::MAX as u64) as i64));
-        let budget_exhausted = AtomicBool::new(false);
-        let take_budget = || match &budget {
-            None => true,
-            Some(b) => {
-                if b.fetch_sub(1, Ordering::AcqRel) > 0 {
-                    true
-                } else {
-                    budget_exhausted.store(true, Ordering::Release);
-                    false
-                }
-            }
-        };
-        let stop_requested = || {
-            cancel.is_some_and(|c| c.load(Ordering::Acquire))
-                || budget_exhausted.load(Ordering::Acquire)
-        };
-
-        // Claiming a coordinate and committing its finished record are
-        // shared between the in-process executor and the process-pool
-        // supervisors.
-        let claim = || loop {
-            if stop_requested() {
-                return None;
-            }
-            if fail.lock().map(|slot| slot.is_some()).unwrap_or(true) {
-                return None;
-            }
-            match &source {
-                WorkSource::Dense(next) => {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let k = dense_coord(j)?;
-                    if done.contains_key(&(k as u64)) {
-                        continue;
-                    }
-                    if !take_budget() {
-                        return None;
-                    }
-                    return Some(k);
-                }
-                WorkSource::Adaptive(state, batch_done) => {
-                    let Ok(mut s) = state.lock() else {
-                        set_fail(FiError::WorkerPanicked);
-                        return None;
-                    };
-                    loop {
-                        if s.finished || stop_requested() {
-                            return None;
-                        }
-                        if let Some(k) = s.pending.pop() {
-                            if let Some((record, stats)) = done.get(&(k as u64)) {
-                                // Journal replay: the planner re-issued a
-                                // coordinate an earlier execution already
-                                // ran, so feed it the journaled record
-                                // instead of executing. Accounting matches
-                                // the dense path's upfront merge.
-                                ins.runs_recovered.inc();
-                                ins.account(record, stats, golden_ticks[record.case]);
-                                s.planner.record(k, record);
-                                if obs.enabled() {
-                                    progress_done.fetch_add(1, Ordering::Relaxed);
-                                    if !record.outcome.is_completed() {
-                                        progress_quarantined.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                continue;
-                            }
-                            if !take_budget() {
-                                // Restore the coordinate so the pending
-                                // queue stays coherent; resume's replay
-                                // re-issues it next invocation.
-                                s.pending.push(k);
-                                return None;
-                            }
-                            s.outstanding += 1;
-                            return Some(k);
-                        }
-                        if s.outstanding > 0 {
-                            // The batch tail is still in flight on other
-                            // threads; wake on commit (or time out to
-                            // re-check the cancel and fail flags).
-                            match batch_done.wait_timeout(s, Duration::from_millis(20)) {
-                                Ok((guard, _)) => s = guard,
-                                Err(_) => {
-                                    set_fail(FiError::WorkerPanicked);
-                                    return None;
-                                }
-                            }
-                            if fail.lock().map(|slot| slot.is_some()).unwrap_or(true) {
-                                return None;
-                            }
-                            continue;
-                        }
-                        // Batch barrier reached: every issued coordinate is
-                        // recorded, so the planner may allocate the next
-                        // round.
-                        let batch = s.planner.next_batch();
-                        if obs.enabled() {
-                            // Snapshot the planner's confidence state at
-                            // the barrier — the data points of the
-                            // explorer's convergence curves. The final
-                            // (empty) batch still snapshots, closing the
-                            // curves, and newly-closed strata get one
-                            // `stratum_closed` event each.
-                            let elapsed = campaign_elapsed();
-                            let status = s.planner.status();
-                            let strata: Vec<StratumCi> = status
-                                .iter()
-                                .map(|st| StratumCi {
-                                    target: st.target as u32,
-                                    executed: st.executed,
-                                    trials: st.trials,
-                                    half_width: st.max_half_width,
-                                    closed: st.closed.is_some(),
-                                })
-                                .collect();
-                            obs.emit(&Event::AdaptiveBatch {
-                                round: s.planner.rounds(),
-                                batch_runs: batch.len() as u64,
-                                elapsed_micros: elapsed,
-                                strata: &strata,
-                            });
-                            for st in &status {
-                                let Some(stop) = st.closed else { continue };
-                                if std::mem::replace(&mut s.closed_reported[st.target], true) {
-                                    continue;
-                                }
-                                let reason = match stop {
-                                    StopReason::CiReached => "ci_reached",
-                                    StopReason::BudgetExhausted => "budget_exhausted",
-                                    StopReason::RankingStable => "ranking_stable",
-                                };
-                                obs.emit(&Event::StratumClosed {
-                                    target: st.target as u32,
-                                    module: &targets[st.target].module_name,
-                                    input_signal: &targets[st.target].input_signal,
-                                    executed: st.executed,
-                                    trials: st.trials,
-                                    half_width: st.max_half_width,
-                                    reason,
-                                    elapsed_micros: elapsed,
-                                });
-                            }
-                        }
-                        if batch.is_empty() {
-                            s.finished = true;
-                            batch_done.notify_all();
-                            return None;
-                        }
-                        s.sampled.extend(batch.iter().map(|&k| k as u64));
-                        // `pop` from the back serves ascending coordinates.
-                        s.pending = batch;
-                        s.pending.reverse();
-                    }
-                }
-            }
-        };
-        // Non-blocking claim used to fill an IPC dispatch batch behind a
-        // blocking first claim. It never waits at the adaptive batch
-        // barrier and never replays journaled records (a replayed
-        // coordinate is pushed back for `claim` to handle), so a dispatch
-        // batch cannot span planner rounds and the barrier stays intact.
-        let try_claim = || {
-            if stop_requested() {
-                return None;
-            }
-            if fail.lock().map(|slot| slot.is_some()).unwrap_or(true) {
-                return None;
-            }
-            match &source {
-                WorkSource::Dense(next) => loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let k = dense_coord(j)?;
-                    if done.contains_key(&(k as u64)) {
-                        continue;
-                    }
-                    if !take_budget() {
-                        return None;
-                    }
-                    return Some(k);
-                },
-                WorkSource::Adaptive(state, _) => {
-                    let Ok(mut s) = state.lock() else {
-                        set_fail(FiError::WorkerPanicked);
-                        return None;
-                    };
-                    if s.finished {
-                        return None;
-                    }
-                    match s.pending.pop() {
-                        Some(k) if done.contains_key(&(k as u64)) => {
-                            // Journal replay belongs to `claim`; restore the
-                            // coordinate and stop filling this batch.
-                            s.pending.push(k);
-                            None
-                        }
-                        Some(k) if !take_budget() => {
-                            s.pending.push(k);
-                            None
-                        }
-                        Some(k) => {
-                            s.outstanding += 1;
-                            Some(k)
-                        }
-                        None => None,
-                    }
-                }
-            }
-        };
-        let commit = |k: usize, record: RunRecord, stats: RunStats, attempts: u32| -> bool {
-            ins.account(&record, &stats, golden_ticks[record.case]);
-            ins.runs_executed.inc();
-            if let WorkSource::Adaptive(state, batch_done) = &source {
-                match state.lock() {
-                    Ok(mut s) => {
-                        s.planner.record(k, &record);
-                        s.outstanding -= 1;
-                        batch_done.notify_all();
-                    }
-                    Err(_) => {
-                        set_fail(FiError::WorkerPanicked);
-                        return false;
-                    }
-                }
-            }
-            if let Some(j) = &journal {
-                let appended = j
-                    .lock()
-                    .map_err(|_| FiError::WorkerPanicked)
-                    .and_then(|mut g| g.append(k as u64, &record, &stats, attempts));
-                if let Err(e) = appended {
-                    set_fail(e);
-                    return false;
-                }
-            }
-            let quarantined_run = !record.outcome.is_completed();
-            let forked = stats.forked;
-            let incident: Option<(&'static str, String)> = if obs.enabled() {
-                match &record.outcome {
-                    RunOutcome::Completed => None,
-                    RunOutcome::Panicked { message } => Some(("panicked", message.clone())),
-                    RunOutcome::Hung { last_tick_ms } => Some((
-                        "hung",
-                        format!("clock stalled; last observed tick {last_tick_ms} ms"),
-                    )),
-                    RunOutcome::Crashed { signal, exit_code } => Some((
-                        "crashed",
-                        match (signal, exit_code) {
-                            (Some(sig), _) => format!("worker killed by signal {sig}"),
-                            (None, Some(code)) => format!("worker exited with code {code}"),
-                            (None, None) => "worker died".to_owned(),
-                        },
-                    )),
-                }
-            } else {
-                None
+        let source = if adaptive {
+            let targets = &prepared.targets;
+            let outputs: Vec<usize> = targets.iter().map(|t| t.output_signals.len()).collect();
+            let planner = AdaptivePlanner::new(spec, &outputs, config.master_seed, config.shard)?;
+            let state = AdaptiveState {
+                planner,
+                pending: Vec::new(),
+                outstanding: 0,
+                finished: false,
+                sampled: Vec::new(),
+                closed_reported: vec![false; targets.len()],
             };
-            match executed.lock() {
-                Ok(mut recs) => recs.push((k as u64, record)),
-                Err(_) => {
-                    set_fail(FiError::WorkerPanicked);
-                    return false;
-                }
-            }
-            if obs.enabled() {
-                let done_now = progress_done.fetch_add(1, Ordering::Relaxed) + 1;
-                let executed_now = progress_executed.fetch_add(1, Ordering::Relaxed) + 1;
-                let forked_now = if forked {
-                    progress_forked.fetch_add(1, Ordering::Relaxed) + 1
-                } else {
-                    progress_forked.load(Ordering::Relaxed)
-                };
-                let quarantined_now = if quarantined_run {
-                    progress_quarantined.fetch_add(1, Ordering::Relaxed) + 1
-                } else {
-                    progress_quarantined.load(Ordering::Relaxed)
-                };
-                if let Some((kind, detail)) = &incident {
-                    emit_incident(k as u64, kind, detail);
-                }
-                obs.progress(&Progress {
-                    done: done_now,
-                    total: progress_total,
-                    recovered,
-                    quarantined: quarantined_now,
-                    forked: forked_now,
-                    executed: executed_now,
-                    elapsed_micros: campaign_elapsed(),
-                    finished: false,
-                });
-            }
-            true
+            WorkSource::Adaptive(Box::new(Mutex::new(state)), Condvar::new())
+        } else {
+            WorkSource::Dense(AtomicUsize::new(0))
         };
+        Ok(Execution {
+            campaign,
+            prepared,
+            ins,
+            started,
+            done,
+            source,
+            journal,
+            executed: Mutex::new(Vec::new()),
+            fail: Mutex::new(None),
+            cancel,
+            budget: max_new_runs.map(|n| AtomicI64::new(clamp_i64(n))),
+            progress,
+        })
+    }
 
-        let worker = |_: usize| {
-            // Worker-owned sample arena, recycled across every run this
-            // thread executes.
-            let mut arena: Option<TraceSet> = None;
-            while let Some(k) = claim() {
-                let run_started = obs.enabled().then(Instant::now);
-                let sandboxed = self.execute_sandboxed(spec, &targets, &goldens, k, &mut arena);
-                if let Some(t0) = run_started {
-                    ins.run_micros.observe(t0.elapsed().as_micros() as u64);
+    fn obs(&self) -> &Obs {
+        &self.campaign.obs
+    }
+
+    fn elapsed_micros(&self) -> u64 {
+        self.started.elapsed().as_micros() as u64
+    }
+
+    fn golden_ticks(&self, record: &RunRecord) -> u64 {
+        self.prepared.goldens[record.case].run.ticks
+    }
+
+    /// Puts a quarantined run or a worker-death retry on the timeline;
+    /// completed runs stay off it, so the event rate tracks trouble.
+    fn incident(&self, k: u64, kind: &str, detail: &str) {
+        if self.obs().enabled() {
+            let elapsed_micros = self.elapsed_micros();
+            self.obs().emit(&Event::RunIncident {
+                k,
+                kind,
+                detail,
+                elapsed_micros,
+            });
+        }
+    }
+
+    fn emit_progress(&self, finished: bool) {
+        if !self.obs().enabled() {
+            return;
+        }
+        let p = &self.progress;
+        self.obs().progress(&Progress {
+            done: p.done.load(Ordering::Relaxed),
+            total: p.total,
+            recovered: p.recovered,
+            quarantined: p.quarantined.load(Ordering::Relaxed),
+            forked: p.forked.load(Ordering::Relaxed),
+            executed: p.executed.load(Ordering::Relaxed),
+            elapsed_micros: self.elapsed_micros(),
+            finished,
+        });
+    }
+
+    fn set_fail(&self, e: FiError) {
+        if let Ok(mut slot) = self.fail.lock() {
+            slot.get_or_insert(e);
+        }
+    }
+
+    fn failed(&self) -> bool {
+        self.fail.lock().map(|slot| slot.is_some()).unwrap_or(true)
+    }
+
+    fn stop_requested(&self) -> bool {
+        self.cancel.is_some_and(|c| c.load(Ordering::Acquire))
+            || (self.budget.as_ref()).is_some_and(|b| b.load(Ordering::Acquire) < 0)
+    }
+
+    fn take_budget(&self) -> bool {
+        (self.budget.as_ref()).is_none_or(|b| b.fetch_sub(1, Ordering::AcqRel) > 0)
+    }
+
+    /// The coordinate at this shard's `j`-th owned dense position.
+    fn dense_coord(&self, j: usize) -> Option<usize> {
+        let shard = self.campaign.config.shard;
+        let (index, count) = shard.map_or((0, 1), |s| (s.index(), s.count()));
+        let k = index + j * count;
+        (k < self.prepared.spec.run_count()).then_some(k)
+    }
+
+    /// Stage 2, **claim**: the next coordinate to run; `None` once the
+    /// campaign is complete, stopped or failed. Only a blocking claim
+    /// (`wait`) waits at the adaptive batch barrier and replays journaled
+    /// records; a non-blocking one tops up an IPC dispatch batch, so a
+    /// batch never spans planner rounds.
+    fn claim(&self, wait: bool) -> Option<usize> {
+        if self.stop_requested() || self.failed() {
+            return None;
+        }
+        let (state, batch_done) = match &self.source {
+            WorkSource::Dense(next) => loop {
+                let j = next.fetch_add(1, Ordering::Relaxed);
+                let k = self.dense_coord(j)?;
+                if !self.done.contains_key(&(k as u64)) {
+                    return self.take_budget().then_some(k);
                 }
-                match sandboxed {
-                    Ok((record, stats)) => {
-                        if !commit(k, record, stats, 1) {
-                            break;
+            },
+            WorkSource::Adaptive(state, batch_done) => (state, batch_done),
+        };
+        let Ok(mut s) = state.lock() else {
+            self.set_fail(FiError::WorkerPanicked);
+            return None;
+        };
+        loop {
+            if s.finished || self.stop_requested() {
+                return None;
+            }
+            if let Some(k) = s.pending.pop() {
+                match self.done.get(&(k as u64)) {
+                    Some((record, stats)) if wait => {
+                        // Journal replay: the planner re-issued a coordinate
+                        // an earlier execution already ran, so feed it the
+                        // journaled record instead of executing. Accounting
+                        // matches the dense path's upfront merge.
+                        self.ins.runs_recovered.inc();
+                        self.ins.account(record, stats, self.golden_ticks(record));
+                        s.planner.record(k, record);
+                        if self.obs().enabled() {
+                            let p = &self.progress;
+                            p.done.fetch_add(1, Ordering::Relaxed);
+                            let quarantined = !record.outcome.is_completed();
+                            p.quarantined
+                                .fetch_add(quarantined.into(), Ordering::Relaxed);
                         }
+                        continue;
                     }
-                    Err(e) => {
-                        set_fail(e);
+                    None if self.take_budget() => {
+                        s.outstanding += 1;
+                        return Some(k);
+                    }
+                    // Push back: a blocking claim replays a journaled one;
+                    // the next invocation re-issues one the budget denied.
+                    _ => {
+                        s.pending.push(k);
+                        return None;
+                    }
+                }
+            }
+            if !wait {
+                return None;
+            }
+            if s.outstanding > 0 {
+                // The batch tail is in flight elsewhere: wake on commit, or
+                // time out to re-check the stop and fail flags.
+                match batch_done.wait_timeout(s, Duration::from_millis(20)) {
+                    Ok((guard, _)) => s = guard,
+                    Err(_) => {
+                        self.set_fail(FiError::WorkerPanicked);
+                        return None;
+                    }
+                }
+                if self.failed() {
+                    return None;
+                }
+                continue;
+            }
+            // Batch barrier reached: every issued coordinate is recorded,
+            // so the planner may allocate the next round.
+            let batch = s.planner.next_batch();
+            self.report_barrier(&mut s, batch.len() as u64);
+            if batch.is_empty() {
+                s.finished = true;
+                batch_done.notify_all();
+                return None;
+            }
+            s.sampled.extend(batch.iter().map(|&k| k as u64));
+            // `pop` from the back serves ascending coordinates.
+            s.pending = batch;
+            s.pending.reverse();
+        }
+    }
+
+    /// Snapshots the planner at a batch barrier (the explorer's
+    /// convergence curves; the final empty batch closes them) and reports
+    /// each newly closed stratum once.
+    fn report_barrier(&self, s: &mut AdaptiveState, batch_runs: u64) {
+        if !self.obs().enabled() {
+            return;
+        }
+        let elapsed_micros = self.elapsed_micros();
+        let status = s.planner.status();
+        let strata: Vec<StratumCi> = status
+            .iter()
+            .map(|st| StratumCi {
+                target: st.target as u32,
+                executed: st.executed,
+                trials: st.trials,
+                half_width: st.max_half_width,
+                closed: st.closed.is_some(),
+            })
+            .collect();
+        self.obs().emit(&Event::AdaptiveBatch {
+            round: s.planner.rounds(),
+            batch_runs,
+            elapsed_micros,
+            strata: &strata,
+        });
+        for st in &status {
+            let Some(stop) = st.closed else { continue };
+            if std::mem::replace(&mut s.closed_reported[st.target], true) {
+                continue;
+            }
+            let target = &self.prepared.targets[st.target];
+            self.obs().emit(&Event::StratumClosed {
+                target: st.target as u32,
+                module: &target.module_name,
+                input_signal: &target.input_signal,
+                executed: st.executed,
+                trials: st.trials,
+                half_width: st.max_half_width,
+                reason: match stop {
+                    StopReason::CiReached => "ci_reached",
+                    StopReason::BudgetExhausted => "budget_exhausted",
+                    StopReason::RankingStable => "ranking_stable",
+                },
+                elapsed_micros,
+            });
+        }
+    }
+
+    /// Stage 3, **execute**: fans the claim → run → commit loop out over
+    /// the executor threads. The transports differ only in where a claimed
+    /// coordinate runs: [`Execution::run_here`] on this thread, or a
+    /// [`WorkerClient`] dispatch to the thread's worker process (see
+    /// [`Supervisor`]).
+    fn execute(&self) -> Result<(), FiError> {
+        match &self.campaign.config.isolation {
+            IsolationMode::InProcess => fan_out(self.campaign.config.threads, || {
+                // Thread-owned sample arena, recycled across every run.
+                let mut arena = None;
+                while let Some(k) = self.claim(true) {
+                    if !self.commit(k, self.run_here(k, &mut arena), 1) {
                         break;
                     }
                 }
-            }
-        };
-
-        // Process-pool shared state: the respawn budget every thread draws
-        // on after its first (free) spawn, and the crash-storm circuit
-        // breaker that degrades the rest of the campaign to the in-process
-        // executor once the budget is exhausted.
-        let respawn_budget = AtomicI64::new(
-            process_cfg.map_or(0, |p| p.max_worker_respawns.min(i64::MAX as u64) as i64),
-        );
-        // Pool-collapse refill waves still available: when the budget runs
-        // dry, one wave re-arms a full budget before the breaker may trip.
-        let respawn_waves = AtomicI64::new(
-            process_cfg.map_or(0, |p| p.pool_respawn_waves.min(i64::MAX as u64) as i64),
-        );
-        let breaker = AtomicBool::new(false);
-        let setup_frame: Vec<u8> = match process_cfg {
-            Some(p) => {
-                let wd = self.config.watchdog;
-                let setup = ToWorker::Setup {
-                    spec: spec.clone(),
-                    master_seed: self.config.master_seed,
-                    horizon_ms: self.config.horizon_ms,
-                    fast_forward: self.config.fast_forward,
-                    wd_enabled: wd.is_some(),
-                    wd_work_per_tick: wd.and_then(|w| w.max_work_per_tick),
-                    wd_wall_ms: wd.and_then(|w| w.max_wall_ms),
-                    payload: p.factory_payload.clone(),
+            }),
+            IsolationMode::Process(p) => {
+                let pool = Pool::new(self.campaign, self.prepared.spec, p)?;
+                let supervisor = || Supervisor {
+                    exec: self,
+                    pool: &pool,
+                    client: None,
+                    ever_spawned: false,
+                    arena: None,
                 };
-                let json = serde_json::to_string(&setup).map_err(|e| FiError::WorkerProcess {
-                    message: format!("serialising worker setup: {e}"),
-                })?;
-                crate::process::encode_frame(&json)
+                fan_out(p.workers, || supervisor().run());
             }
-            None => Vec::new(),
-        };
-
-        let supervisor = |p: &ProcessIsolation| {
-            let run_timeout = Duration::from_millis(p.run_timeout_ms.max(1));
-            let setup_timeout = Duration::from_millis(p.setup_timeout_ms.max(1));
-            let batch_limit = p.dispatch_batch.max(1);
-            // The launch command with RLIMIT_AS/RLIMIT_CPU environment
-            // variables applied (identical to `p.command` when uncapped).
-            let worker_command = p.effective_command();
-            let chaos = self.chaos.as_deref();
-            let mut client: Option<WorkerClient> = None;
-            let mut ever_spawned = false;
-            // Arena for the degraded in-process fallback path.
-            let mut arena: Option<TraceSet> = None;
-            'coords: while let Some(first) = claim() {
-                // Fill the dispatch batch behind the blocking first claim
-                // without waiting, then try to ship the whole batch in one
-                // frame. Any worker death degrades the batch to the
-                // single-coordinate path below, whose retry loop owns death
-                // classification; coordinates re-run deterministically, so
-                // the records are identical either way.
-                let mut batch = vec![first];
-                if client.is_some() && !breaker.load(Ordering::Acquire) {
-                    while batch.len() < batch_limit {
-                        match try_claim() {
-                            Some(k) => batch.push(k),
-                            None => break,
-                        }
-                    }
-                }
-                if batch.len() > 1 {
-                    let live = client.as_mut().expect("batched only with a live worker");
-                    let ks: Vec<u64> = batch.iter().map(|&k| k as u64).collect();
-                    if let Some(c) = chaos {
-                        if c.should_kill_worker(&ks) {
-                            live.chaos_kill();
-                        }
-                    }
-                    let attempt_started = obs.enabled().then(Instant::now);
-                    let attempt = live.run_batch(&ks, run_timeout, chaos);
-                    if let Some(t0) = attempt_started {
-                        ins.attempt_micros.observe(t0.elapsed().as_micros() as u64);
-                    }
-                    match attempt {
-                        Ok(Attempt::Done { results }) => {
-                            for done_run in results {
-                                if !commit(done_run.k as usize, done_run.record, done_run.stats, 1)
-                                {
-                                    break 'coords;
-                                }
-                            }
-                            continue 'coords;
-                        }
-                        Ok(Attempt::Died { deadline, .. }) => {
-                            // The guilty coordinate is unknown from a batch
-                            // death; fall through and re-dispatch each
-                            // coordinate singly so classification is exact.
-                            client = None;
-                            if deadline {
-                                ins.worker_kills.inc();
-                            }
-                            ins.run_retries.inc();
-                            emit_incident(
-                                ks[0],
-                                "retried",
-                                &format!(
-                                    "worker died running a dispatch batch of {}; \
-                                     re-dispatching singly",
-                                    ks.len()
-                                ),
-                            );
-                        }
-                        Ok(Attempt::Protocol(message)) => {
-                            set_fail(FiError::WorkerProcess { message });
-                            break 'coords;
-                        }
-                        Err(e) => {
-                            set_fail(e);
-                            break 'coords;
-                        }
-                    }
-                }
-                for k in batch {
-                    // Attempts actually dispatched for this coordinate; the
-                    // journal records it so resumed campaigns keep the count.
-                    let mut attempts: u32 = 0;
-                    let mut last_death: Option<RunOutcome> = None;
-                    let (record, stats) = loop {
-                        if breaker.load(Ordering::Acquire) {
-                            // Degraded mode: execute on the supervisor's bare
-                            // bundles — records are bit-identical (fast-forward
-                            // never changes a result bit), just slower.
-                            client = None;
-                            match self.execute_sandboxed(spec, &targets, &goldens, k, &mut arena) {
-                                Ok(pair) => break pair,
-                                Err(e) => {
-                                    set_fail(e);
-                                    break 'coords;
-                                }
-                            }
-                        }
-                        if client.is_none() {
-                            if ever_spawned {
-                                if respawn_budget.fetch_sub(1, Ordering::AcqRel) <= 0 {
-                                    // Pool collapse: spend one refill wave
-                                    // (re-arming a full respawn budget)
-                                    // before the breaker may trip and
-                                    // degrade the campaign in-process.
-                                    if p.max_worker_respawns > 0
-                                        && respawn_waves.fetch_sub(1, Ordering::AcqRel) > 0
-                                    {
-                                        respawn_budget.store(
-                                            p.max_worker_respawns.min(i64::MAX as u64) as i64,
-                                            Ordering::Release,
-                                        );
-                                        obs.warn(format!(
-                                            "worker pool collapsed; spending a respawn wave \
-                                             ({} fresh respawns)",
-                                            p.max_worker_respawns
-                                        ));
-                                        continue;
-                                    }
-                                    breaker.store(true, Ordering::Release);
-                                    continue;
-                                }
-                                ins.worker_respawns.inc();
-                            }
-                            match WorkerClient::spawn(&worker_command) {
-                                Ok(mut fresh) => {
-                                    ever_spawned = true;
-                                    ins.worker_spawns.inc();
-                                    match fresh.setup(&setup_frame, setup_timeout) {
-                                        Ok(()) => client = Some(fresh),
-                                        Err(_) => {
-                                            // Setup failures draw on the budget
-                                            // like crashes do; back off and let
-                                            // the loop respawn or trip the
-                                            // breaker.
-                                            std::thread::sleep(backoff(
-                                                p.retry_backoff_ms,
-                                                attempts,
-                                            ));
-                                            continue;
-                                        }
-                                    }
-                                }
-                                Err(_) => {
-                                    ever_spawned = true;
-                                    std::thread::sleep(backoff(p.retry_backoff_ms, attempts));
-                                    continue;
-                                }
-                            }
-                        }
-                        let live = client.as_mut().expect("worker ensured above");
-                        if let Some(c) = chaos {
-                            if c.should_kill_worker(&[k as u64]) {
-                                live.chaos_kill();
-                            }
-                        }
-                        attempts += 1;
-                        let attempt_started = obs.enabled().then(Instant::now);
-                        let attempt = live.run_batch(&[k as u64], run_timeout, chaos);
-                        if let Some(t0) = attempt_started {
-                            ins.attempt_micros.observe(t0.elapsed().as_micros() as u64);
-                        }
-                        match attempt {
-                            Ok(Attempt::Done { mut results }) => {
-                                let done_run =
-                                    results.pop().expect("batch of one verified by client");
-                                break (done_run.record, done_run.stats);
-                            }
-                            Ok(Attempt::Died {
-                                deadline,
-                                signal,
-                                exit_code,
-                            }) => {
-                                client = None;
-                                if deadline {
-                                    ins.worker_kills.inc();
-                                }
-                                // A hard-deadline kill means the run never let
-                                // its own clock be observed; any other death is
-                                // classified from the exit status.
-                                let outcome = if deadline {
-                                    RunOutcome::Hung { last_tick_ms: 0 }
-                                } else {
-                                    RunOutcome::Crashed { signal, exit_code }
-                                };
-                                let reproduced = last_death.as_ref() == Some(&outcome);
-                                let budget_spent = attempts > self.config.max_retries;
-                                if reproduced || budget_spent {
-                                    break self.death_record(spec, &targets, k, outcome);
-                                }
-                                last_death = Some(outcome);
-                                ins.run_retries.inc();
-                                emit_incident(
-                                    k as u64,
-                                    "retried",
-                                    &format!("worker death on attempt {attempts}; backing off"),
-                                );
-                                std::thread::sleep(backoff(p.retry_backoff_ms, attempts));
-                            }
-                            Ok(Attempt::Protocol(message)) => {
-                                set_fail(FiError::WorkerProcess { message });
-                                break 'coords;
-                            }
-                            Err(e) => {
-                                set_fail(e);
-                                break 'coords;
-                            }
-                        }
-                    };
-                    if !commit(k, record, stats, attempts.max(1)) {
-                        break 'coords;
-                    }
-                }
-            }
-        };
-
-        if let Some(p) = process_cfg {
-            if threads <= 1 {
-                supervisor(p);
-            } else {
-                let supervisor_ref = &supervisor;
-                std::thread::scope(|s| {
-                    for _ in 0..threads {
-                        s.spawn(move || supervisor_ref(p));
-                    }
-                });
-            }
-        } else if threads <= 1 {
-            worker(0);
-        } else {
-            let worker_ref = &worker;
-            std::thread::scope(|s| {
-                for w in 0..threads {
-                    s.spawn(move || worker_ref(w));
-                }
-            });
         }
+        Ok(())
+    }
 
+    /// The in-process transport: runs coordinate `k` on this thread under
+    /// [`Campaign::execute_sandboxed`], timed.
+    fn run_here(&self, k: usize, arena: &mut Option<TraceSet>) -> RunResult {
+        let run_started = self.obs().enabled().then(Instant::now);
+        let ran = self.campaign.execute_sandboxed(self.prepared, k, arena);
+        if let Some(t0) = run_started {
+            self.ins.run_micros.observe(t0.elapsed().as_micros() as u64);
+        }
+        ran
+    }
+
+    /// Stage 4, **commit**: accounts a finished run, feeds the adaptive
+    /// planner, appends to the journal and reports progress — or records
+    /// the failure `run` carries. `false` once the thread must stop.
+    fn commit(&self, k: usize, run: RunResult, attempts: u32) -> bool {
+        let (record, stats) = match run {
+            Ok(run) => run,
+            Err(e) => {
+                self.set_fail(e);
+                return false;
+            }
+        };
+        self.ins
+            .account(&record, &stats, self.golden_ticks(&record));
+        self.ins.runs_executed.inc();
+        if let WorkSource::Adaptive(state, batch_done) = &self.source {
+            let Ok(mut s) = state.lock() else {
+                self.set_fail(FiError::WorkerPanicked);
+                return false;
+            };
+            s.planner.record(k, &record);
+            s.outstanding -= 1;
+            batch_done.notify_all();
+        }
+        if let Some(j) = &self.journal {
+            let appended = (j.lock().map_err(poisoned))
+                .and_then(|mut g| g.append(k as u64, &record, &stats, attempts));
+            if let Err(e) = appended {
+                self.set_fail(e);
+                return false;
+            }
+        }
+        let quarantined = !record.outcome.is_completed();
+        let incident = self
+            .obs()
+            .enabled()
+            .then(|| incident_detail(&record.outcome))
+            .flatten();
+        match self.executed.lock() {
+            Ok(mut recs) => recs.push((k as u64, record)),
+            Err(_) => {
+                self.set_fail(FiError::WorkerPanicked);
+                return false;
+            }
+        }
+        if self.obs().enabled() {
+            let p = &self.progress;
+            p.done.fetch_add(1, Ordering::Relaxed);
+            p.executed.fetch_add(1, Ordering::Relaxed);
+            p.forked.fetch_add(stats.forked.into(), Ordering::Relaxed);
+            p.quarantined
+                .fetch_add(quarantined.into(), Ordering::Relaxed);
+            if let Some((kind, detail)) = &incident {
+                self.incident(k as u64, kind, detail);
+            }
+            self.emit_progress(false);
+        }
+        true
+    }
+
+    /// The end of the **commit** stage, after every thread stopped: syncs
+    /// the journal, surfaces a failure or the interruption, and merges the
+    /// records executed here with the journaled ones in coordinate order.
+    fn finish(mut self) -> Result<Vec<(u64, RunRecord)>, FiError> {
         // Whatever the exit path, leave the journal durable first.
-        if let Some(j) = &journal {
-            j.lock().map_err(|_| FiError::WorkerPanicked)?.sync()?;
+        if let Some(j) = &self.journal {
+            j.lock().map_err(poisoned)?.sync()?;
         }
-        if let Some(e) = fail.into_inner().map_err(|_| FiError::WorkerPanicked)? {
+        if let Some(e) = self.fail.get_mut().map_err(poisoned)?.take() {
             return Err(e);
         }
-
-        let executed = executed.into_inner().map_err(|_| FiError::WorkerPanicked)?;
-        let (sampled, planner) = match source {
-            WorkSource::Dense(_) => (None, None),
+        let executed = std::mem::take(self.executed.get_mut().map_err(poisoned)?);
+        // An adaptive campaign's sampled coordinates, rounds and closed
+        // strata.
+        let adaptive = match &mut self.source {
+            WorkSource::Dense(_) => None,
             WorkSource::Adaptive(state, _) => {
-                let s = state.into_inner().map_err(|_| FiError::WorkerPanicked)?;
-                (Some(s.sampled), Some(s.planner))
+                let s = state.get_mut().map_err(poisoned)?;
+                let sampled = std::mem::take(&mut s.sampled);
+                Some((sampled, s.planner.rounds(), s.planner.strata_closed()))
             }
         };
+        let run_count = self.prepared.spec.run_count();
+        let done = std::mem::take(&mut self.done);
+        // Expected dense total: every journaled record plus every
+        // shard-owned coordinate that was not journaled. Without a shard
+        // this is simply the spec's run count.
+        let dense_expected = self.campaign.config.shard.map_or(run_count, |s| {
+            let positions = s.positions(run_count as u64);
+            done.len() + positions.filter(|k| !done.contains_key(k)).count()
+        });
         // Dense campaigns merge every journaled record; adaptive campaigns
         // merge exactly the coordinates the planner sampled (a journaled
         // run whose batch was never re-issued — possible only after a
         // cancellation — stays out, matching its skipped accounting).
-        // Expected dense total: every journaled record plus every
-        // shard-owned coordinate that was not journaled. Without a shard
-        // this is simply the spec's run count.
-        let dense_expected = shard.map_or(run_count, |s| {
-            done.len()
-                + s.positions(run_count as u64)
-                    .filter(|k| !done.contains_key(k))
-                    .count()
-        });
-        let mut merged: Vec<(u64, RunRecord)> = match &sampled {
-            None => done.into_iter().map(|(k, (r, _))| (k, r)).collect(),
-            Some(sampled_ks) => {
-                let sampled_set: std::collections::HashSet<u64> =
-                    sampled_ks.iter().copied().collect();
-                done.into_iter()
-                    .filter(|(k, _)| sampled_set.contains(k))
-                    .map(|(k, (r, _))| (k, r))
-                    .collect()
-            }
-        };
+        let sampled: Option<HashSet<u64>> =
+            adaptive.as_ref().map(|a| a.0.iter().copied().collect());
+        let mut merged: Vec<(u64, RunRecord)> = done
+            .into_iter()
+            .filter(|(k, _)| sampled.as_ref().is_none_or(|s| s.contains(k)))
+            .map(|(k, (r, _))| (k, r))
+            .collect();
         merged.extend(executed);
         merged.sort_by_key(|&(k, _)| k);
-
-        let emit_final_progress = || {
-            if obs.enabled() {
-                obs.progress(&Progress {
-                    done: progress_done.load(Ordering::Relaxed),
-                    total: progress_total,
-                    recovered,
-                    quarantined: progress_quarantined.load(Ordering::Relaxed),
-                    forked: progress_forked.load(Ordering::Relaxed),
-                    executed: progress_executed.load(Ordering::Relaxed),
-                    elapsed_micros: campaign_elapsed(),
-                    finished: true,
-                });
-            }
-        };
-        obs.gauge("process.campaign_wall_ms")
-            .set(campaign_started.elapsed().as_millis() as u64);
+        let wall_ms = self.started.elapsed().as_millis() as u64;
+        self.obs().gauge("process.campaign_wall_ms").set(wall_ms);
 
         // Budget exhaustion implies at least one claimed coordinate was
         // denied, so the campaign is necessarily incomplete — it reports
         // as interrupted exactly like an external cancellation.
-        if cancel.is_some_and(|c| c.load(Ordering::Acquire))
-            || budget_exhausted.load(Ordering::Acquire)
-        {
-            emit_final_progress();
+        if self.stop_requested() {
+            self.emit_progress(true);
             return Err(FiError::Interrupted {
                 completed: merged.len() as u64,
                 total: run_count as u64,
             });
         }
-        match &sampled {
-            None => debug_assert_eq!(merged.len(), dense_expected),
-            Some(s) => debug_assert_eq!(merged.len(), s.len()),
-        }
         // Adaptive totals are deterministic facts of the finished plan: a
         // resumed campaign replays the same rounds and closes the same
         // strata, so these merge to the uninterrupted values just like the
         // `campaign.*` counters.
-        if let (Some(p), Some(s)) = (&planner, &sampled) {
-            ins.adaptive_batches.add(p.rounds());
-            ins.adaptive_strata_closed.add(p.strata_closed() as u64);
-            ins.adaptive_runs_saved
-                .add(run_count.saturating_sub(s.len()) as u64);
+        match &adaptive {
+            None => debug_assert_eq!(merged.len(), dense_expected),
+            Some((sampled, rounds, strata_closed)) => {
+                debug_assert_eq!(merged.len(), sampled.len());
+                self.ins.adaptive_batches.add(*rounds);
+                self.ins.adaptive_strata_closed.add(*strata_closed as u64);
+                let saved = run_count.saturating_sub(sampled.len());
+                self.ins.adaptive_runs_saved.add(saved as u64);
+            }
         }
-        emit_final_progress();
+        self.emit_progress(true);
+        Ok(merged)
+    }
+}
 
-        // Assemble the result purely from the merged record set, in
-        // coordinate order — the same bytes whether the records were just
-        // executed, recovered from a journal, or any mix of the two.
-        let _merge_span = obs.span("merge");
-        let per_target = spec.injections_per_target();
-        let mut outcomes = OutcomeTally::default();
-        let mut completed_per_target = vec![0u64; targets.len()];
-        let mut runs_per_target = vec![0u64; targets.len()];
-        let mut errors: Vec<Vec<u64>> = targets
-            .iter()
-            .map(|t| vec![0u64; t.output_signals.len()])
-            .collect();
-        for (k, record) in &merged {
-            let ti = (*k as usize) / per_target;
-            runs_per_target[ti] += 1;
-            outcomes.record(&record.outcome);
-            if record.outcome.is_completed() {
-                completed_per_target[ti] += 1;
-                for (out_idx, div) in record.first_divergence.iter().enumerate() {
-                    if div.is_some() {
-                        errors[ti][out_idx] += 1;
+/// The run-incident kind and detail of a quarantined outcome; `None` for a
+/// completed run.
+fn incident_detail(outcome: &RunOutcome) -> Option<(&'static str, String)> {
+    match outcome {
+        RunOutcome::Completed => None,
+        RunOutcome::Panicked { message } => Some(("panicked", message.clone())),
+        RunOutcome::Hung { last_tick_ms } => Some((
+            "hung",
+            format!("clock stalled; last observed tick {last_tick_ms} ms"),
+        )),
+        RunOutcome::Crashed { signal, exit_code } => Some((
+            "crashed",
+            match (signal, exit_code) {
+                (Some(sig), _) => format!("worker killed by signal {sig}"),
+                (None, Some(code)) => format!("worker exited with code {code}"),
+                (None, None) => "worker died".to_owned(),
+            },
+        )),
+    }
+}
+
+/// Runs `work` on `threads` scoped threads (0 ⇒ available parallelism), or
+/// on the calling thread when that is one.
+fn fan_out(threads: usize, work: impl Fn() + Sync) {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    if threads <= 1 {
+        work();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(&work);
+            }
+        });
+    }
+}
+
+fn clamp_i64(n: u64) -> i64 {
+    n.min(i64::MAX as u64) as i64
+}
+
+/// The error for a lock a panicking executor thread poisoned.
+fn poisoned<T>(_: PoisonError<T>) -> FiError {
+    FiError::WorkerPanicked
+}
+
+/// Process-pool state every supervisor thread shares.
+struct Pool<'p> {
+    config: &'p ProcessIsolation,
+    /// The launch command with the RLIMIT environment variables applied.
+    command: WorkerCommand,
+    setup_frame: Vec<u8>,
+    /// Respawns left; a thread's first spawn is free.
+    respawn_budget: AtomicI64,
+    /// Refill waves left: when the budget runs dry, one wave re-arms it
+    /// before the breaker may trip.
+    respawn_waves: AtomicI64,
+    /// Crash-storm circuit breaker: once tripped, the rest of the campaign
+    /// runs in-process.
+    breaker: AtomicBool,
+}
+
+impl<'p> Pool<'p> {
+    fn new(
+        campaign: &Campaign<'_>,
+        spec: &CampaignSpec,
+        config: &'p ProcessIsolation,
+    ) -> Result<Self, FiError> {
+        let (c, wd) = (&campaign.config, campaign.config.watchdog);
+        let setup = ToWorker::Setup {
+            spec: spec.clone(),
+            master_seed: c.master_seed,
+            horizon_ms: c.horizon_ms,
+            fast_forward: c.fast_forward,
+            wd_enabled: wd.is_some(),
+            wd_work_per_tick: wd.and_then(|w| w.max_work_per_tick),
+            wd_wall_ms: wd.and_then(|w| w.max_wall_ms),
+            payload: config.factory_payload.clone(),
+        };
+        let json = serde_json::to_string(&setup).map_err(|e| FiError::WorkerProcess {
+            message: format!("serialising worker setup: {e}"),
+        })?;
+        Ok(Pool {
+            config,
+            command: config.effective_command(),
+            setup_frame: crate::process::encode_frame(&json),
+            respawn_budget: AtomicI64::new(clamp_i64(config.max_worker_respawns)),
+            respawn_waves: AtomicI64::new(clamp_i64(config.pool_respawn_waves)),
+            breaker: AtomicBool::new(false),
+        })
+    }
+}
+
+/// One process-isolation executor thread and the worker it supervises. A
+/// blocking claim is topped up with non-blocking ones into a dispatch
+/// batch of up to [`ProcessIsolation::dispatch_batch`] coordinates. When
+/// the worker dies under a batch, each coordinate is re-dispatched singly
+/// so the retry loop classifies the death exactly; runs are deterministic,
+/// so the records are identical either way.
+struct Supervisor<'e, 'a> {
+    exec: &'e Execution<'a>,
+    pool: &'e Pool<'e>,
+    /// This thread's worker process, while it lives.
+    client: Option<WorkerClient>,
+    /// A worker was spawned before, so the next spawn is a respawn.
+    ever_spawned: bool,
+    /// Sample arena of the in-process fallback.
+    arena: Option<TraceSet>,
+}
+
+impl Supervisor<'_, '_> {
+    fn run(mut self) {
+        let exec = self.exec;
+        while let Some(first) = exec.claim(true) {
+            let mut batch = vec![first];
+            if self.client.is_some() && !self.pool.breaker.load(Ordering::Acquire) {
+                while batch.len() < self.pool.config.dispatch_batch.max(1) {
+                    match exec.claim(false) {
+                        Some(k) => batch.push(k),
+                        None => break,
                     }
                 }
             }
-        }
-        if outcomes.quarantined_fraction() > self.config.max_quarantined_fraction {
-            return Err(FiError::QuarantineThresholdExceeded {
-                quarantined: outcomes.quarantined(),
-                total: outcomes.total(),
-                max_fraction: self.config.max_quarantined_fraction,
-            });
-        }
-
-        let mut pairs = Vec::new();
-        for (ti, target) in targets.iter().enumerate() {
-            for (out_idx, out_name) in target.output_signals.iter().enumerate() {
-                pairs.push(PairStat {
-                    module: target.module_name.clone(),
-                    input_signal: target.input_signal.clone(),
-                    output_signal: out_name.clone(),
-                    input: target.input_port,
-                    output: out_idx,
-                    // `n_inj` counts only runs that produced a comparison;
-                    // equals `injections_per_target` when nothing was
-                    // quarantined.
-                    injections: completed_per_target[ti],
-                    errors: errors[ti][out_idx],
-                });
+            if batch.len() > 1 {
+                let ks: Vec<u64> = batch.iter().map(|&k| k as u64).collect();
+                match self.attempt(&ks) {
+                    Ok(Attempt::Done { results }) => {
+                        for run in results {
+                            if !exec.commit(run.k as usize, Ok((run.record, run.stats)), 1) {
+                                return;
+                            }
+                        }
+                        continue;
+                    }
+                    Ok(Attempt::Died { .. }) => {
+                        exec.ins.run_retries.inc();
+                        let detail = format!(
+                            "worker died running a dispatch batch of {}; re-dispatching singly",
+                            ks.len()
+                        );
+                        exec.incident(ks[0], "retried", &detail);
+                    }
+                    Err(e) => {
+                        exec.set_fail(e);
+                        return;
+                    }
+                }
+            }
+            for k in batch {
+                let (ran, attempts) = self.dispatch_single(k);
+                if !exec.commit(k, ran, attempts) {
+                    return;
+                }
             }
         }
-        let total_runs = merged.len() as u64;
-        Ok(CampaignResult {
-            pairs,
-            records: if self.config.keep_records {
-                merged.into_iter().map(|(_, r)| r).collect()
-            } else {
-                Vec::new()
-            },
-            golden_ticks,
-            total_runs,
-            runs_per_target,
-            outcomes,
-        })
     }
+
+    /// Runs coordinate `k` on this thread's worker until it yields a
+    /// record, and counts the dispatches (the journal keeps the count): a
+    /// worker death is retried up to [`CampaignConfig::max_retries`] times
+    /// unless it reproduces with the same classification, and once the
+    /// circuit breaker has tripped the run stays in-process.
+    fn dispatch_single(&mut self, k: usize) -> (RunResult, u32) {
+        let exec = self.exec;
+        let mut attempts: u32 = 0;
+        let mut last_death: Option<RunOutcome> = None;
+        loop {
+            if self.pool.breaker.load(Ordering::Acquire) {
+                // Degraded mode: run on the supervisor's bare bundles —
+                // records are bit-identical, just slower.
+                self.client = None;
+                return (exec.run_here(k, &mut self.arena), attempts.max(1));
+            }
+            if self.client.is_none() && !self.spawn(attempts) {
+                continue;
+            }
+            attempts += 1;
+            let (deadline, signal, exit_code) = match self.attempt(&[k as u64]) {
+                Ok(Attempt::Done { mut results }) => {
+                    let run = results.pop().expect("batch of one verified by client");
+                    return (Ok((run.record, run.stats)), attempts);
+                }
+                Ok(Attempt::Died {
+                    deadline,
+                    signal,
+                    exit_code,
+                }) => (deadline, signal, exit_code),
+                Err(e) => return (Err(e), attempts),
+            };
+            // A hard-deadline kill means the run never let its own clock be
+            // observed; any other death is classified from the exit status.
+            let outcome = if deadline {
+                RunOutcome::Hung { last_tick_ms: 0 }
+            } else {
+                RunOutcome::Crashed { signal, exit_code }
+            };
+            let reproduced = last_death.as_ref() == Some(&outcome);
+            if reproduced || attempts > exec.campaign.config.max_retries {
+                let run = coordinate_run(exec.prepared, k, outcome, RunStats::default());
+                return (Ok(run), attempts);
+            }
+            last_death = Some(outcome);
+            exec.ins.run_retries.inc();
+            let detail = format!("worker death on attempt {attempts}; backing off");
+            exec.incident(k as u64, "retried", &detail);
+            std::thread::sleep(backoff(self.pool.config.retry_backoff_ms, attempts));
+        }
+    }
+
+    /// Spawns this thread's worker and sends it the setup frame; `true`
+    /// once a worker is live. A respawn draws on the pool's budget; a dry
+    /// budget spends a refill wave or else trips the breaker. A failed
+    /// spawn or setup backs off and counts like a crash.
+    fn spawn(&mut self, attempts: u32) -> bool {
+        let (exec, pool, p) = (self.exec, self.pool, self.pool.config);
+        if self.ever_spawned {
+            if pool.respawn_budget.fetch_sub(1, Ordering::AcqRel) <= 0 {
+                if p.max_worker_respawns > 0
+                    && pool.respawn_waves.fetch_sub(1, Ordering::AcqRel) > 0
+                {
+                    let fresh = clamp_i64(p.max_worker_respawns);
+                    pool.respawn_budget.store(fresh, Ordering::Release);
+                    exec.obs().warn(format!(
+                        "worker pool collapsed; spending a respawn wave ({} fresh respawns)",
+                        p.max_worker_respawns
+                    ));
+                } else {
+                    pool.breaker.store(true, Ordering::Release);
+                }
+                return false;
+            }
+            exec.ins.worker_respawns.inc();
+        }
+        self.ever_spawned = true;
+        let setup_timeout = Duration::from_millis(p.setup_timeout_ms.max(1));
+        let ready = WorkerClient::spawn(&pool.command).and_then(|mut fresh| {
+            exec.ins.worker_spawns.inc();
+            fresh
+                .setup(&pool.setup_frame, setup_timeout)
+                .map(|()| fresh)
+        });
+        match ready {
+            Ok(fresh) => self.client = Some(fresh),
+            Err(_) => std::thread::sleep(backoff(p.retry_backoff_ms, attempts)),
+        }
+        self.client.is_some()
+    }
+
+    /// The process transport: one dispatch of `ks` to this thread's live
+    /// worker, in one frame, after any scheduled chaos kill, timed. A
+    /// worker death drops the client; a protocol violation is an error.
+    fn attempt(&mut self, ks: &[u64]) -> Result<Attempt, FiError> {
+        let (exec, p) = (self.exec, self.pool.config);
+        let live = self
+            .client
+            .as_mut()
+            .expect("dispatched only to a live worker");
+        let chaos = exec.campaign.chaos.as_deref();
+        if chaos.is_some_and(|c| c.should_kill_worker(ks)) {
+            live.chaos_kill();
+        }
+        let run_timeout = Duration::from_millis(p.run_timeout_ms.max(1));
+        let attempt_started = exec.obs().enabled().then(Instant::now);
+        let attempt = live.run_batch(ks, run_timeout, chaos);
+        if let Some(t0) = attempt_started {
+            let micros = t0.elapsed().as_micros() as u64;
+            exec.ins.attempt_micros.observe(micros);
+        }
+        if let Ok(Attempt::Died { deadline, .. }) = &attempt {
+            if *deadline {
+                exec.ins.worker_kills.inc();
+            }
+            self.client = None;
+        }
+        attempt
+    }
+}
+
+/// Stage 5, **assemble**: the campaign result, purely from the merged
+/// record set in coordinate order — the same bytes whether the records
+/// were just executed, recovered from a journal, or any mix of the two.
+///
+/// # Errors
+///
+/// [`FiError::QuarantineThresholdExceeded`] when more than
+/// [`CampaignConfig::max_quarantined_fraction`] of the runs died.
+fn assemble(
+    prepared: &Prepared,
+    merged: Vec<(u64, RunRecord)>,
+    config: &CampaignConfig,
+) -> Result<CampaignResult, FiError> {
+    let targets = &prepared.targets;
+    let per_target = prepared.spec.injections_per_target();
+    let mut outcomes = OutcomeTally::default();
+    let mut completed_per_target = vec![0u64; targets.len()];
+    let mut runs_per_target = vec![0u64; targets.len()];
+    let mut errors: Vec<Vec<u64>> = targets
+        .iter()
+        .map(|t| vec![0u64; t.output_signals.len()])
+        .collect();
+    for (k, record) in &merged {
+        let ti = (*k as usize) / per_target;
+        runs_per_target[ti] += 1;
+        outcomes.record(&record.outcome);
+        if record.outcome.is_completed() {
+            completed_per_target[ti] += 1;
+            for (out_idx, div) in record.first_divergence.iter().enumerate() {
+                if div.is_some() {
+                    errors[ti][out_idx] += 1;
+                }
+            }
+        }
+    }
+    if outcomes.quarantined_fraction() > config.max_quarantined_fraction {
+        return Err(FiError::QuarantineThresholdExceeded {
+            quarantined: outcomes.quarantined(),
+            total: outcomes.total(),
+            max_fraction: config.max_quarantined_fraction,
+        });
+    }
+
+    let mut pairs = Vec::new();
+    for (ti, target) in targets.iter().enumerate() {
+        for (out_idx, out_name) in target.output_signals.iter().enumerate() {
+            pairs.push(PairStat {
+                module: target.module_name.clone(),
+                input_signal: target.input_signal.clone(),
+                output_signal: out_name.clone(),
+                input: target.input_port,
+                output: out_idx,
+                // `n_inj` counts only runs that produced a comparison;
+                // equals `injections_per_target` when nothing was
+                // quarantined.
+                injections: completed_per_target[ti],
+                errors: errors[ti][out_idx],
+            });
+        }
+    }
+    let total_runs = merged.len() as u64;
+    Ok(CampaignResult {
+        pairs,
+        records: if config.keep_records {
+            merged.into_iter().map(|(_, r)| r).collect()
+        } else {
+            Vec::new()
+        },
+        golden_ticks: prepared.goldens.iter().map(|g| g.run.ticks).collect(),
+        total_runs,
+        runs_per_target,
+        outcomes,
+    })
 }
 
 #[cfg(test)]

@@ -334,9 +334,6 @@ pub(crate) enum Attempt {
         signal: Option<i32>,
         exit_code: Option<i32>,
     },
-    /// The worker violated the protocol; this poisons the pool as
-    /// [`FiError::WorkerProcess`] rather than quarantining the run.
-    Protocol(String),
 }
 
 #[cfg(unix)]
@@ -487,9 +484,10 @@ impl WorkerClient {
     ///
     /// # Errors
     ///
-    /// Returns [`FiError::WorkerProcess`] only on serialisation failure;
-    /// worker deaths and protocol violations come back as [`Attempt`]
-    /// variants so the caller owns the retry policy.
+    /// Returns [`FiError::WorkerProcess`] on serialisation failure and when
+    /// the worker violates the protocol — that poisons the pool rather than
+    /// quarantining a run. Worker deaths come back as [`Attempt::Died`] so
+    /// the caller owns the retry policy.
     pub(crate) fn run_batch(
         &mut self,
         ks: &[u64],
@@ -527,28 +525,27 @@ impl WorkerClient {
             .send(KillerMsg::Arm(Instant::now() + deadline));
         let reply = read_frame(&mut self.stdout);
         let _ = self.killer_tx.send(KillerMsg::Disarm);
-        match reply {
-            Ok(Some(json)) => match serde_json::from_str::<FromWorker>(&json) {
-                Ok(FromWorker::DoneBatch { results }) => {
-                    let answered_in_order =
-                        results.len() == ks.len() && results.iter().zip(ks).all(|(r, &k)| r.k == k);
-                    if answered_in_order {
-                        Ok(Attempt::Done { results })
-                    } else {
-                        Ok(Attempt::Protocol(format!(
-                            "worker answered coordinates {:?} when asked for {ks:?}",
-                            results.iter().map(|r| r.k).collect::<Vec<_>>()
-                        )))
-                    }
+        let json = match reply {
+            Ok(Some(json)) => json,
+            Ok(None) | Err(_) => return Ok(self.collect_death()),
+        };
+        let message = match serde_json::from_str::<FromWorker>(&json) {
+            Ok(FromWorker::DoneBatch { results }) => {
+                let answered_in_order =
+                    results.len() == ks.len() && results.iter().zip(ks).all(|(r, &k)| r.k == k);
+                if answered_in_order {
+                    return Ok(Attempt::Done { results });
                 }
-                Ok(FromWorker::Fail { message }) => Ok(Attempt::Protocol(message)),
-                Ok(FromWorker::Ready) => {
-                    Ok(Attempt::Protocol("unexpected Ready mid-campaign".into()))
-                }
-                Err(e) => Ok(Attempt::Protocol(format!("unparseable worker reply: {e}"))),
-            },
-            Ok(None) | Err(_) => Ok(self.collect_death()),
-        }
+                format!(
+                    "worker answered coordinates {:?} when asked for {ks:?}",
+                    results.iter().map(|r| r.k).collect::<Vec<_>>()
+                )
+            }
+            Ok(FromWorker::Fail { message }) => message,
+            Ok(FromWorker::Ready) => "unexpected Ready mid-campaign".into(),
+            Err(e) => format!("unparseable worker reply: {e}"),
+        };
+        Err(FiError::WorkerProcess { message })
     }
 
     /// SIGKILLs the worker *without* marking the supervisor deadline — the
@@ -674,7 +671,7 @@ where
         ..Default::default()
     };
     let campaign = Campaign::new(factory.as_ref(), config);
-    let (targets, goldens, _golden_ticks) = match campaign.prepare(&spec) {
+    let prepared = match campaign.prepare(&spec) {
         Ok(prepared) => prepared,
         Err(e) => return fail(format!("preparing campaign: {e}")),
     };
@@ -691,9 +688,7 @@ where
                 Ok(ToWorker::RunBatch { ks }) => {
                     let mut results = Vec::with_capacity(ks.len());
                     for &k in &ks {
-                        match campaign
-                            .execute_sandboxed(&spec, &targets, &goldens, k as usize, &mut arena)
-                        {
+                        match campaign.execute_sandboxed(&prepared, k as usize, &mut arena) {
                             Ok((record, stats)) => results.push(DoneRun { k, record, stats }),
                             Err(e) => {
                                 return fail(format!("run {k} failed as infrastructure: {e}"))

@@ -6,7 +6,8 @@
 #   2. the two modes produce byte-identical per-scenario result.json files;
 #   3. the scenario-driven arrestment-quick result is byte-identical to the
 #      legacy `study --quick` artifact (the declarative path is a
-#      re-spelling of the preset path, not a parallel implementation);
+#      re-spelling of the preset path, not a parallel implementation), and
+#      that artifact's sha256 equals the pinned value;
 #   4. an invalid scenario directory exits with the pinned usage code 2 and
 #      names the offending TOML key path.
 #
@@ -49,8 +50,15 @@ done
 echo "== scenario quick study == legacy --quick, byte for byte =="
 "$STUDY" --quick --out "$WORK/legacy" >/dev/null
 cmp "$WORK/inproc/arrestment-quick/result.json" "$WORK/legacy/result.json"
-SHA=$(sha256sum "$WORK/legacy/result.json" | cut -c1-8)
-echo "quick result.json sha256 prefix: $SHA"
+# Absolute pin: the quick study's result.json bytes. Changing it needs a
+# note saying why (see EXPERIMENTS.md, "Pinned digests").
+QUICK_SHA256=eb5ba6098f66b15594508809db9c13ba37cfc3e6bfe942a552fb54833eb38b21
+SHA=$(sha256sum "$WORK/legacy/result.json" | cut -d' ' -f1)
+echo "quick result.json sha256: $SHA"
+if [[ "$SHA" != "$QUICK_SHA256" ]]; then
+    echo "FAIL: quick result.json sha256 $SHA, pinned $QUICK_SHA256" >&2
+    exit 1
+fi
 
 echo "== invalid scenario exits 2 with the offending key path =="
 mkdir -p "$WORK/bad"
@@ -77,4 +85,4 @@ fi
 grep -q "campaign.tyop" "$WORK/bad.log"
 
 echo "PASS: scenario suite identical across isolation modes," \
-     "quick scenario matches the preset artifact ($SHA...)"
+     "quick scenario matches the preset artifact (sha256 $SHA)"
