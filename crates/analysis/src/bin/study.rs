@@ -127,7 +127,7 @@ use permea_obs::{JsonlSink, Obs, ProgressSink, Sink, StderrSink};
 use permea_server::signal as interrupt;
 use permea_target::registry;
 use permea_target::suite::{run_suite, SuiteOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -246,6 +246,33 @@ fn suite_command() -> ExitCode {
     }
 }
 
+/// The command that resumes an interrupted campaign. It repeats every flag
+/// that enters the journal header (preset, seed, adaptive plan, shard), so
+/// the resumed invocation opens the same campaign.
+fn resume_hint(
+    preset: &str,
+    seed: Option<u64>,
+    adaptive: Option<&AdaptivePlan>,
+    shard: Option<Shard>,
+    out_dir: &Path,
+) -> String {
+    let mut hint = format!("study {preset}");
+    if let Some(seed) = seed {
+        hint += &format!(" --seed {seed}");
+    }
+    hint += &format!(" --resume {}", out_dir.display());
+    if let Some(plan) = adaptive {
+        hint += &format!(
+            " --adaptive --target-ci {} --batch-size {}",
+            plan.target_ci, plan.batch_size
+        );
+    }
+    if let Some(shard) = shard {
+        hint += &format!(" --shard {shard}");
+    }
+    hint
+}
+
 fn main() -> ExitCode {
     // Worker mode: this process is a pool member re-exec'd by a supervising
     // `study --isolation process`. It speaks the framed IPC protocol on
@@ -281,6 +308,8 @@ fn main() -> ExitCode {
     }
 
     let mut config = StudyConfig::quick();
+    let mut preset = "--quick";
+    let mut seed_given = false;
     let mut out_dir = PathBuf::from("artifacts/study");
     let mut journal_runs = false;
     let mut progress = false;
@@ -298,9 +327,9 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => config = StudyConfig::quick(),
-            "--full" => config = StudyConfig::paper(),
-            "--smoke" => config = StudyConfig::smoke(),
+            "--quick" => (preset, config) = ("--quick", StudyConfig::quick()),
+            "--full" => (preset, config) = ("--full", StudyConfig::paper()),
+            "--smoke" => (preset, config) = ("--smoke", StudyConfig::smoke()),
             "--journal" => journal_runs = true,
             "--progress" => progress = true,
             "--out" => match args.next() {
@@ -372,7 +401,10 @@ fn main() -> ExitCode {
                 None => usage(),
             },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => config.seed = s,
+                Some(s) => {
+                    config.seed = s;
+                    seed_given = true;
+                }
                 None => usage(),
             },
             "--adaptive" => {
@@ -531,23 +563,15 @@ fn main() -> ExitCode {
             obs.info(format!(
                 "interrupted: {completed} of {total} runs journaled"
             ));
-            let adaptive_hint = match &config.adaptive {
-                Some(plan) => format!(
-                    " --adaptive --target-ci {} --batch-size {}",
-                    plan.target_ci, plan.batch_size
-                ),
-                None => String::new(),
-            };
             obs.info(format!(
-                "resume with: study {} --resume {}{}{}",
-                if config.masses >= 5 {
-                    "--full"
-                } else {
-                    "--quick"
-                },
-                out_dir.display(),
-                adaptive_hint,
-                shard.map_or(String::new(), |s| format!(" --shard {s}")),
+                "resume with: {}",
+                resume_hint(
+                    preset,
+                    seed_given.then_some(config.seed),
+                    config.adaptive.as_ref(),
+                    shard,
+                    &out_dir,
+                )
             ));
             // A latched signal is a graceful shutdown, not an abort: the
             // in-flight batch has drained into the journal above, so the
@@ -702,4 +726,50 @@ fn main() -> ExitCode {
         obs.warn(format!("{failed} shape check(s) did not reproduce"));
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resume_hint_repeats_every_header_flag_that_was_given() {
+        let plan = AdaptivePlan {
+            target_ci: 0.1,
+            batch_size: 20,
+            ..AdaptivePlan::default()
+        };
+        let shard = Shard::parse("1/3").ok();
+        let cases = [
+            ("--smoke", None, None, None, "study --smoke --resume d"),
+            ("--full", None, None, None, "study --full --resume d"),
+            (
+                "--smoke",
+                Some(7),
+                None,
+                None,
+                "study --smoke --seed 7 --resume d",
+            ),
+            (
+                "--quick",
+                None,
+                Some(&plan),
+                None,
+                "study --quick --resume d --adaptive --target-ci 0.1 --batch-size 20",
+            ),
+            (
+                "--quick",
+                Some(9),
+                None,
+                shard,
+                "study --quick --seed 9 --resume d --shard 1/3",
+            ),
+        ];
+        for (preset, seed, adaptive, shard, expected) in cases {
+            assert_eq!(
+                resume_hint(preset, seed, adaptive, shard, Path::new("d")),
+                expected
+            );
+        }
+    }
 }

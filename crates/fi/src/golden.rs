@@ -28,7 +28,7 @@ impl GoldenRun {
     }
 
     /// `true` if `signal` in `ir_traces` differs anywhere from the Golden
-    /// Run — the paper's per-output error criterion.
+    /// Run — the paper's per-output error test.
     pub fn diverged(&self, ir_traces: &TraceSet, signal: &str) -> bool {
         self.first_divergence(ir_traces, signal).is_some()
     }

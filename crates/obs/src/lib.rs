@@ -23,8 +23,9 @@
 //! no allocation, no clock reads, no atomics. With telemetry enabled the
 //! hot path is an atomic `fetch_add` per counter bump; only low-rate
 //! operations (phase transitions, per-run completions) construct events
-//! and touch sinks. The `campaign/obs` criterion bench group in
-//! `permea-bench` guards the disabled-path overhead.
+//! and touch sinks. perfbench times its end-to-end iterations on the
+//! disabled path, and its `obs.overhead_frac` measures what an enabled
+//! handle adds to a campaign.
 //!
 //! # Metric namespaces
 //!

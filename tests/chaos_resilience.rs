@@ -416,3 +416,84 @@ proptest! {
         prop_assert_eq!(result, baseline_in_process());
     }
 }
+
+// ---------------------------------------------------------------------
+// The plan grammar: arbitrary strings over its alphabet.
+// ---------------------------------------------------------------------
+
+// The grammar's alphabet, by role.
+const SEPARATORS: &[&str] = &[",", "=", "@"];
+const NUMBERS: &[&str] = &[
+    "0",
+    "1",
+    "7",
+    "42",
+    "18446744073709551615",
+    "18446744073709551616",
+];
+const KEYS: &[&str] = &[
+    "seed",
+    "journal-write",
+    "journal-fsync",
+    "ledger-write",
+    "kill-run",
+    "kill-always",
+    "frame-corrupt",
+    "client-disconnect",
+    "artifact-fail",
+    "free-disk",
+];
+const KINDS: &[&str] = &["enospc", "enospc-once", "eio", "short", "result.json"];
+const SPACES: &[&str] = &[" ", "\t", "\n", ""];
+
+fn pick(words: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..words.len()).prop_map(move |i| words[i])
+}
+
+/// Fragment soup over the whole alphabet, plus plans of token-shaped
+/// strings (`key`, separator, optional `kind@`, number), half of them
+/// well formed, so that a good share of the inputs parse.
+fn plan_text() -> impl Strategy<Value = String> {
+    let fragment = || {
+        prop_oneof![
+            pick(SEPARATORS),
+            pick(NUMBERS),
+            pick(KEYS),
+            pick(KINDS),
+            pick(SPACES),
+        ]
+    };
+    let soup = prop::collection::vec(fragment(), 0..24).prop_map(|f| f.concat());
+    let shaped = (
+        pick(KEYS),
+        pick(SEPARATORS),
+        prop_oneof![pick(KINDS), Just("")],
+        prop_oneof![Just("@"), Just("")],
+        pick(NUMBERS),
+    )
+        .prop_map(|(key, sep, kind, at, n)| format!("{key}{sep}{kind}{at}{n}"));
+    let well_formed =
+        (pick(KEYS), pick(&KINDS[..4]), pick(&NUMBERS[..5])).prop_map(|(key, kind, n)| match key {
+            "journal-write" | "journal-fsync" | "ledger-write" => format!("{key}={kind}@{n}"),
+            "seed" | "free-disk" => format!("{key}={n}"),
+            "artifact-fail" => format!("{key}={kind}"),
+            _ => format!("{key}@{n}"),
+        });
+    let token = (pick(SPACES), prop_oneof![shaped, well_formed])
+        .prop_map(|(pad, token)| format!("{pad}{token}{pad}"));
+    let tokens = prop::collection::vec(token, 0..6).prop_map(|t| t.join(","));
+    prop_oneof![soup, tokens]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    // `ChaosPlan::parse` never panics, and every plan it accepts prints
+    // back to a string that parses to the same plan.
+    #[test]
+    fn chaos_plan_grammar_round_trips(text in plan_text()) {
+        if let Ok(plan) = ChaosPlan::parse(&text) {
+            prop_assert_eq!(ChaosPlan::parse(&plan.to_string()), Ok(plan));
+        }
+    }
+}
