@@ -27,7 +27,9 @@
 //!
 //! `--quick` (default) runs the reduced configuration (seconds);
 //! `--full` runs the paper's 52 000-injection campaign (minutes);
-//! `--smoke` an even smaller configuration for CI smoke tests.
+//! `--smoke` an even smaller configuration for CI smoke tests. Flags may
+//! come in any order: `--seed`, `--threads` and the adaptive flags apply
+//! on top of the preset wherever they appear.
 //!
 //! Telemetry: the campaign always collects metrics (counters, phase spans,
 //! fsync latency) and writes them as `metrics.json` next to `result.json`
@@ -307,9 +309,14 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut config = StudyConfig::quick();
-    let mut preset = "--quick";
-    let mut seed_given = false;
+    // Flags apply in any order: the preset is chosen first, then the
+    // overrides given anywhere on the line go on top of it.
+    let mut preset = String::from("--quick");
+    let mut threads: Option<usize> = None;
+    let mut seed: Option<u64> = None;
+    let mut adaptive = false;
+    let mut target_ci: Option<f64> = None;
+    let mut batch_size: Option<usize> = None;
     let mut out_dir = PathBuf::from("artifacts/study");
     let mut journal_runs = false;
     let mut progress = false;
@@ -327,9 +334,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => (preset, config) = ("--quick", StudyConfig::quick()),
-            "--full" => (preset, config) = ("--full", StudyConfig::paper()),
-            "--smoke" => (preset, config) = ("--smoke", StudyConfig::smoke()),
+            "--quick" | "--full" | "--smoke" => preset = arg.clone(),
             "--journal" => journal_runs = true,
             "--progress" => progress = true,
             "--out" => match args.next() {
@@ -360,7 +365,7 @@ fn main() -> ExitCode {
                 None => usage(),
             },
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.threads = n,
+                Some(n) => threads = Some(n),
                 None => usage(),
             },
             "--isolation" => match args.next().as_deref() {
@@ -401,34 +406,39 @@ fn main() -> ExitCode {
                 None => usage(),
             },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => {
-                    config.seed = s;
-                    seed_given = true;
-                }
+                Some(s) => seed = Some(s),
                 None => usage(),
             },
-            "--adaptive" => {
-                config.adaptive.get_or_insert_with(AdaptivePlan::default);
-            }
+            "--adaptive" => adaptive = true,
             "--target-ci" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(w) => {
-                    config
-                        .adaptive
-                        .get_or_insert_with(AdaptivePlan::default)
-                        .target_ci = w;
-                }
+                Some(w) => target_ci = Some(w),
                 None => usage(),
             },
             "--batch-size" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    config
-                        .adaptive
-                        .get_or_insert_with(AdaptivePlan::default)
-                        .batch_size = n;
-                }
+                Some(n) => batch_size = Some(n),
                 None => usage(),
             },
             _ => usage(),
+        }
+    }
+    let mut config = match preset.as_str() {
+        "--full" => StudyConfig::paper(),
+        "--smoke" => StudyConfig::smoke(),
+        _ => StudyConfig::quick(),
+    };
+    if let Some(n) = threads {
+        config.threads = n;
+    }
+    if let Some(s) = seed {
+        config.seed = s;
+    }
+    if adaptive || target_ci.is_some() || batch_size.is_some() {
+        let plan = config.adaptive.get_or_insert_with(AdaptivePlan::default);
+        if let Some(w) = target_ci {
+            plan.target_ci = w;
+        }
+        if let Some(n) = batch_size {
+            plan.batch_size = n;
         }
     }
 
@@ -565,13 +575,7 @@ fn main() -> ExitCode {
             ));
             obs.info(format!(
                 "resume with: {}",
-                resume_hint(
-                    preset,
-                    seed_given.then_some(config.seed),
-                    config.adaptive.as_ref(),
-                    shard,
-                    &out_dir,
-                )
+                resume_hint(&preset, seed, config.adaptive.as_ref(), shard, &out_dir)
             ));
             // A latched signal is a graceful shutdown, not an abort: the
             // in-flight batch has drained into the journal above, so the

@@ -50,7 +50,12 @@ const SMOKE_ADAPTIVE: (u32, usize) = (1_311_238_679, 12_561);
 const FIVE_MODULE_EXTENDED: (u32, usize) = (1_545_138_042, 8_264);
 const MASK_PIPELINE_FEP: (u32, usize) = (2_695_362_595, 74_449);
 /// The single-threaded journal of the sliced smoke scenario, byte for byte.
-const SMOKE_SLICED_JOURNAL: (u32, usize) = (2_691_986_424, 31_257);
+const SMOKE_SLICED_JOURNAL: (u32, usize) = (2_847_685_419, 31_175);
+/// The same journal as written before injection runs stopped at their
+/// decision: the records are identical, but each run's journaled
+/// `sim_ticks` reaches the horizon or the reconvergence.
+const UNCUT_JOURNAL: &str = "tests/fixtures/smoke_journal_uncut.jsonl";
+const UNCUT_JOURNAL_DIGEST: (u32, usize) = (2_691_986_424, 31_257);
 
 fn digest(bytes: &[u8]) -> (u32, usize) {
     (crc32(bytes), bytes.len())
@@ -157,6 +162,29 @@ fn smoke_scenario_in_journaled_budget_slices() {
         .run_resumable_budgeted(&options, Some(&mut journal), None, Some(0))
         .unwrap();
     assert_eq!(result_digest(&resumed), SMOKE);
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+#[test]
+fn journal_written_before_the_decision_cut_resumes_unchanged() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join(UNCUT_JOURNAL);
+    assert_eq!(read_digest(&fixture), UNCUT_JOURNAL_DIGEST);
+    let path = scratch("uncut").join("journal.jsonl");
+    std::fs::copy(&fixture, &path).unwrap();
+    let study = scenario(SMOKE_SCENARIO, "arrestment-smoke");
+    let options = SuiteOptions {
+        threads: Some(1),
+        ..SuiteOptions::default()
+    };
+    let (mut journal, _) = RunJournal::open_or_create(&path, &study.journal_header()).unwrap();
+    assert_eq!(journal.entries().len(), 104);
+    // A zero budget: any run the journal does not hold would interrupt.
+    let resumed = study
+        .run_resumable_budgeted(&options, Some(&mut journal), None, Some(0))
+        .unwrap();
+    assert_eq!(result_digest(&resumed), SMOKE);
+    drop(journal);
+    assert_eq!(read_digest(&path), UNCUT_JOURNAL_DIGEST, "nothing appended");
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 

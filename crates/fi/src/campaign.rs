@@ -5,8 +5,8 @@
 //! injection run then replays the case for exactly the Golden Run's tick
 //! count, installs one error at the configured instant — *after* the
 //! environment refreshed the sensors for that tick, *before* any module
-//! reads them — and afterwards compares each output trace of the targeted
-//! module against the Golden Run. One error per run, as in the paper.
+//! reads them — and compares each output of the targeted module with the
+//! Golden Run as the run steps. One error per run, as in the paper.
 //!
 //! # Stages
 //!
@@ -49,6 +49,19 @@
 //! Both shortcuts are exact: estimates, divergences and records are
 //! bit-identical to the replay-from-zero path, which is kept (set
 //! `fast_forward: false`) for differential testing.
+//!
+//! # Decided runs
+//!
+//! The record of a run holds only the first tick at which each output of
+//! the targeted module diverges. Injection runs therefore record no trace:
+//! each tick's outputs are compared with the golden samples as the run
+//! steps, and the run stops once every output has diverged and the error
+//! model has fired for the last time — no later tick can change the
+//! record. Both paths above take this cut alike, so they still agree bit
+//! for bit. A run is judged over the ticks up to its decision: a stall or
+//! panic after it is never reached and cannot change Pr{err on k | err on
+//! i}. [`Campaign::run_traced`] alone steps on to the horizon, because it
+//! returns the whole trace.
 
 use crate::adaptive::{AdaptivePlanner, StopReason};
 use crate::chaos::ChaosInjector;
@@ -63,6 +76,7 @@ use crate::results::{CampaignResult, PairStat, RunRecord, RunStats};
 use crate::shard::Shard;
 use crate::spec::{CampaignSpec, InjectionScope};
 use permea_obs::{Counter, Event, Histogram, Obs, Progress, StratumCi};
+use permea_runtime::signals::{SignalBus, SignalRef};
 use permea_runtime::sim::{SimInstruments, SimSnapshot, Simulation};
 use permea_runtime::time::SimTime;
 use permea_runtime::tracing::TraceSet;
@@ -266,11 +280,21 @@ impl GoldenBundle {
 }
 
 /// What [`Campaign::prepare`] yields: the validated spec, its resolved
-/// targets and one golden bundle per workload case.
+/// targets, one golden bundle per workload case, and where each target's
+/// outputs sit in each case's golden traces.
 pub(crate) struct Prepared<'s> {
     spec: &'s CampaignSpec,
     targets: Vec<ResolvedTarget>,
     goldens: Vec<GoldenBundle>,
+    /// Golden trace rows of target `ti`'s outputs in case `ci`, at
+    /// `ci * targets.len() + ti`, resolved once so a run compares by index.
+    output_rows: Vec<Vec<Option<usize>>>,
+}
+
+impl Prepared<'_> {
+    fn output_rows(&self, ti: usize, ci: usize) -> &[Option<usize>] {
+        &self.output_rows[ci * self.targets.len() + ti]
+    }
 }
 
 /// Resolved, immutable description of one target (probe-validated once).
@@ -281,6 +305,9 @@ pub(crate) struct ResolvedTarget {
     module_idx: permea_runtime::sim::ModuleIdx,
     input_port: usize,
     output_signals: Vec<String>,
+    /// Bus references of `output_signals` (the factory builds every case
+    /// with the same signal layout).
+    output_refs: Vec<SignalRef>,
 }
 
 /// What `run_one` yields per injection: the original and corrupted signal
@@ -288,31 +315,54 @@ pub(crate) struct ResolvedTarget {
 /// execution statistics.
 type RunOneOutput = (u16, u16, Vec<Option<u32>>, RunStats);
 
-/// The outcome of one (possibly fast-forwarded) injection run: the trace
-/// window actually simulated, covering ticks `[start_ms, start_ms + window
-/// ticks)` of the run, and the injected values.
-struct InjectedWindow {
-    window: TraceSet,
+/// Where an injection run stopped and what it injected. The run simulated
+/// ticks `[start_ms, stop_ms)`.
+struct Injected {
     start_ms: u64,
+    stop_ms: u64,
     forked: bool,
     converged_ms: Option<u64>,
     original: u16,
     corrupted: u16,
 }
 
-impl InjectedWindow {
-    /// First tick at which `signal` deviates from the golden run, across the
-    /// *whole* run. Ticks before the window are identical by determinism
-    /// (no injection happened yet) and ticks after it are identical by
-    /// convergence, so comparing the window against the golden samples at
-    /// `start_ms + i` is exact.
-    fn window_divergence(&self, golden: &GoldenRun, signal: &str) -> Option<usize> {
-        let g = golden.traces.trace(signal)?;
-        let w = self.window.trace(signal)?;
-        let start = self.start_ms as usize;
-        debug_assert!(start + w.len() <= g.len(), "window overruns golden trace");
-        let n = w.len().min(g.len().saturating_sub(start));
-        permea_runtime::tracing::first_mismatch(&w[..n], &g[start..start + n]).map(|i| start + i)
+/// Online Golden Run Comparison: the first tick at which each output of
+/// the target deviates from the golden run, folded in as the run steps.
+/// An output the golden run does not trace never counts as diverged.
+struct Divergence<'g> {
+    refs: &'g [SignalRef],
+    rows: &'g [Option<usize>],
+    golden: &'g TraceSet,
+    first: Vec<Option<u32>>,
+    /// Outputs not yet diverged.
+    pending: usize,
+}
+
+impl<'g> Divergence<'g> {
+    fn new(target: &'g ResolvedTarget, rows: &'g [Option<usize>], golden: &'g TraceSet) -> Self {
+        Divergence {
+            refs: &target.output_refs,
+            rows,
+            golden,
+            first: vec![None; rows.len()],
+            pending: rows.len(),
+        }
+    }
+
+    /// Compares the outputs on `bus` with the golden samples of `tick`.
+    fn observe(&mut self, bus: &SignalBus, tick: u64) {
+        for ((first, &sig), row) in self.first.iter_mut().zip(self.refs).zip(self.rows) {
+            let Some(row) = *row else { continue };
+            if first.is_none() && bus.read(sig) != self.golden.samples(row)[tick as usize] {
+                *first = Some(tick as u32);
+                self.pending -= 1;
+            }
+        }
+    }
+
+    /// Every output has diverged: no later tick can change the record.
+    fn decided(&self) -> bool {
+        self.pending == 0
     }
 }
 
@@ -330,6 +380,7 @@ struct Instruments {
     ff_reconverged: Counter,
     run_ticks: Counter,
     ticks_saved: Counter,
+    ticks_cut: Counter,
     golden_runs: Counter,
     golden_ticks: Counter,
     snapshots: Counter,
@@ -358,6 +409,7 @@ impl Instruments {
             ff_reconverged: obs.counter("campaign.ff_reconverged"),
             run_ticks: obs.counter("campaign.run_ticks"),
             ticks_saved: obs.counter("campaign.ticks_saved"),
+            ticks_cut: obs.counter("campaign.ticks_cut"),
             golden_runs: obs.counter("campaign.golden_runs"),
             golden_ticks: obs.counter("campaign.golden_ticks"),
             snapshots: obs.counter("campaign.snapshots"),
@@ -378,7 +430,12 @@ impl Instruments {
     /// Accounts one finished run — executed just now or recovered from the
     /// journal — into the deterministic `campaign.*` totals. `golden_ticks`
     /// is the golden-run length of the run's case, needed to credit the
-    /// tail skipped by a reconvergence exit.
+    /// tail skipped by a reconvergence exit or by the decision cut. A
+    /// completed run stopped at tick start + `sim_ticks` (start is the
+    /// injection instant when forked, else zero); without a reconvergence
+    /// the rest of the horizon was cut, so over completed runs
+    /// `run_ticks + ticks_saved + ticks_cut` is the golden ticks of each
+    /// run's case.
     fn account(&self, record: &RunRecord, stats: &RunStats, golden_ticks: u64) {
         self.runs_total.inc();
         match &record.outcome {
@@ -395,6 +452,10 @@ impl Instruments {
         if let Some(converged) = stats.converged_ms {
             self.ff_reconverged.inc();
             self.ticks_saved.add(golden_ticks.saturating_sub(converged));
+        } else if record.outcome.is_completed() {
+            let start = if stats.forked { record.time_ms } else { 0 };
+            self.ticks_cut
+                .add(golden_ticks.saturating_sub(start + stats.sim_ticks));
         }
     }
 }
@@ -610,8 +671,8 @@ impl<'f> Campaign<'f> {
                         debug_assert_eq!(m, module_idx);
                         (m, p)
                     })?;
-                let output_signals = probe
-                    .module_outputs(module_idx)
+                let output_refs = probe.module_outputs(module_idx).to_vec();
+                let output_signals = output_refs
                     .iter()
                     .map(|&s| probe.bus().name(s).to_owned())
                     .collect();
@@ -621,37 +682,20 @@ impl<'f> Campaign<'f> {
                     module_idx,
                     input_port,
                     output_signals,
+                    output_refs,
                 })
             })
             .collect()
     }
 
-    /// The shared core of every injection run. Forks from the golden
-    /// snapshot at `time_ms` when the bundle has one (otherwise replays
-    /// from tick zero), injects, and stops early once the run reconverges
-    /// with a golden checkpoint. Returns the recorded trace window — ticks
-    /// `[start_ms, end_ms)` of the run — plus the injected values.
-    ///
-    /// The configured watchdog is armed on the simulation, so this call may
-    /// unwind with a [`permea_runtime::watchdog::StalledClock`] payload when
-    /// the injected error stalls the simulated clock; the campaign loop
-    /// catches and classifies that.
-    #[allow(clippy::too_many_arguments)] // one coordinate axis per parameter
-    fn run_injected(
-        &self,
-        target: &ResolvedTarget,
-        scope: InjectionScope,
-        model: crate::model::ErrorModel,
-        time_ms: u64,
-        golden: &GoldenBundle,
-        seed: u64,
-        arena: &mut Option<TraceSet>,
-    ) -> Result<InjectedWindow, FiError> {
-        let mut sim = self.factory.build(golden.run.case);
-        if let Some(spare) = arena.take() {
-            // Recycle the previous run's sample arena instead of letting the
-            // freshly built simulation record into new allocations.
-            sim.reuse_trace_arena(spare);
+    /// A fresh simulation of `case` for an injection run: telemetry
+    /// attached and the watchdog armed. Without `traced`, the factory's
+    /// trace set is dropped: a campaign run compares online and records
+    /// nothing.
+    fn injection_sim(&self, case: usize, traced: bool) -> Simulation {
+        let mut sim = self.factory.build(case);
+        if !traced {
+            drop(sim.take_traces());
         }
         if self.obs.enabled() {
             // Before `arm_watchdog`, which clones the trip counter into the
@@ -665,6 +709,33 @@ impl<'f> Campaign<'f> {
         if let Some(wd) = self.config.watchdog {
             sim.arm_watchdog(wd);
         }
+        sim
+    }
+
+    /// The one stepping loop of every injection run. Forks from the golden
+    /// snapshot at `time_ms` when the bundle has one (otherwise replays
+    /// from tick zero), injects, and steps until the golden horizon, or
+    /// until the run reconverges with a golden checkpoint. With a
+    /// `divergence`, each tick's outputs are compared as the run steps and
+    /// the run also stops once every output has diverged after the last
+    /// fire: from then on nothing in the record can change.
+    ///
+    /// The configured watchdog is armed on the simulation, so this call may
+    /// unwind with a [`permea_runtime::watchdog::StalledClock`] payload when
+    /// the injected error stalls the simulated clock; the campaign loop
+    /// catches and classifies that.
+    #[allow(clippy::too_many_arguments)] // one coordinate axis per parameter
+    fn run_injected(
+        &self,
+        sim: &mut Simulation,
+        target: &ResolvedTarget,
+        scope: InjectionScope,
+        model: crate::model::ErrorModel,
+        time_ms: u64,
+        golden: &GoldenBundle,
+        seed: u64,
+        mut divergence: Option<&mut Divergence<'_>>,
+    ) -> Injected {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut original = 0u16;
         let mut corrupted = 0u16;
@@ -676,14 +747,16 @@ impl<'f> Campaign<'f> {
             None => (0, false),
         };
         // One-shot models fire exactly at `time_ms`; an intermittent model
-        // re-fires on its schedule, and convergence early-exit must wait
-        // until the last fire — the run cannot have durably reconverged
-        // while the error source is still live.
+        // re-fires on its schedule, and neither exit may be taken before
+        // the last fire — the error source is still live until then.
         let last_fire_ms = model.last_instant(time_ms);
         let mut converged_ms = None;
         while sim.now().as_millis() < golden.run.ticks {
             let now = sim.now().as_millis();
             if now > last_fire_ms {
+                if divergence.as_ref().is_some_and(|d| d.decided()) {
+                    break;
+                }
                 if let Some(cp) = golden.snapshot_at(now) {
                     if sim.converged_with(cp) {
                         converged_ms = Some(now);
@@ -713,53 +786,61 @@ impl<'f> Campaign<'f> {
                 }
             }
             sim.run_modules();
+            if let Some(d) = divergence.as_deref_mut() {
+                d.observe(sim.bus(), now);
+            }
         }
-        let window = sim.take_traces().ok_or(FiError::TracingDisabled {
-            case: golden.run.case,
-        })?;
-        Ok(InjectedWindow {
-            window,
+        Injected {
             start_ms,
+            stop_ms: sim.now().as_millis(),
             forked,
             converged_ms,
             original,
             corrupted,
-        })
+        }
     }
 
-    /// Executes one injection run and returns the per-output first
-    /// divergences plus the run's deterministic execution statistics.
+    /// Executes one injection run and returns the injected values, the
+    /// per-output first divergences and the run's deterministic execution
+    /// statistics. Ticks before the run's start are identical to the golden
+    /// run by determinism, ticks after a reconvergence by convergence, and
+    /// ticks after the decision cannot change the record.
     #[allow(clippy::too_many_arguments)] // one coordinate axis per parameter
     fn run_one(
         &self,
-        spec: &CampaignSpec,
         target: &ResolvedTarget,
+        scope: InjectionScope,
+        rows: &[Option<usize>],
         model: crate::model::ErrorModel,
         time_ms: u64,
         golden: &GoldenBundle,
         seed: u64,
-        arena: &mut Option<TraceSet>,
-    ) -> Result<RunOneOutput, FiError> {
-        let run = self.run_injected(target, spec.scope, model, time_ms, golden, seed, arena)?;
-        let divergences = target
-            .output_signals
-            .iter()
-            .map(|name| run.window_divergence(&golden.run, name).map(|t| t as u32))
-            .collect();
+    ) -> RunOneOutput {
+        let mut sim = self.injection_sim(golden.run.case, false);
+        let mut divergence = Divergence::new(target, rows, &golden.run.traces);
+        let run = self.run_injected(
+            &mut sim,
+            target,
+            scope,
+            model,
+            time_ms,
+            golden,
+            seed,
+            Some(&mut divergence),
+        );
         let stats = RunStats {
-            sim_ticks: run.window.ticks() as u64,
+            sim_ticks: run.stop_ms - run.start_ms,
             forked: run.forked,
             converged_ms: run.converged_ms,
         };
-        // Hand the window's storage back for the next run.
-        *arena = Some(run.window);
-        Ok((run.original, run.corrupted, divergences, stats))
+        (run.original, run.corrupted, divergence.first, stats)
     }
 
     /// Runs a single injection and returns the **full trace set** of the
     /// injected run alongside the (original, corrupted) values — the hook
     /// used by detector-placement studies that need to replay assertions
-    /// over injected traces.
+    /// over injected traces. Unlike a campaign run it records every tick
+    /// and never stops at the decision.
     ///
     /// When the run was fast-forwarded, the full trace is reassembled from
     /// the golden prefix (identical by determinism), the recorded window,
@@ -786,14 +867,25 @@ impl<'f> Campaign<'f> {
             adaptive: None,
         };
         let resolved = self.resolve_targets(&spec)?;
-        let run =
-            self.run_injected(&resolved[0], scope, model, time_ms, golden, seed, &mut None)?;
+        let case = golden.run.case;
+        let mut sim = self.injection_sim(case, true);
+        let run = self.run_injected(
+            &mut sim,
+            &resolved[0],
+            scope,
+            model,
+            time_ms,
+            golden,
+            seed,
+            None,
+        );
+        let window = sim.take_traces().ok_or(FiError::TracingDisabled { case })?;
         let start = run.start_ms as usize;
         let traces = if start == 0 && run.converged_ms.is_none() {
-            run.window
+            window
         } else {
             let mut full = golden.run.traces.truncated(start);
-            full.extend_from_window(&run.window, 0, run.window.ticks());
+            full.extend_from_window(&window, 0, window.ticks());
             if let Some(conv) = run.converged_ms {
                 full.extend_from_window(
                     &golden.run.traces,
@@ -835,50 +927,50 @@ impl<'f> Campaign<'f> {
         };
         let golden_ticks: Vec<u64> = goldens.iter().map(|g| g.run.ticks).collect();
         spec.validate_instants(self.config.horizon_ms, &golden_ticks)?;
+        let output_rows = goldens
+            .iter()
+            .flat_map(|g| {
+                targets.iter().map(|t| {
+                    let rows = t.output_signals.iter();
+                    rows.map(|name| g.run.traces.position(name)).collect()
+                })
+            })
+            .collect();
         Ok(Prepared {
             spec,
             targets,
             goldens,
+            output_rows,
         })
     }
 
     /// Executes coordinate `k` under the in-process sandbox
     /// (`catch_unwind` + cooperative watchdog) and returns its record: a
     /// completed comparison, or a quarantined `Panicked`/`Hung` outcome.
-    /// The per-run seed derives from `k` and the master seed alone, which
-    /// is what makes the record identical no matter which process (or
-    /// attempt) executes it.
-    ///
-    /// # Errors
-    ///
-    /// Returns infrastructure failures (e.g. [`FiError::TracingDisabled`])
-    /// — never run deaths, which unwind into the quarantined record.
-    pub(crate) fn execute_sandboxed(
-        &self,
-        prepared: &Prepared,
-        k: usize,
-        arena: &mut Option<TraceSet>,
-    ) -> RunResult {
+    /// A run is judged over the ticks up to its decision: a stall or panic
+    /// after every output diverged is never reached. The per-run seed
+    /// derives from `k` and the master seed alone, which is what makes the
+    /// record identical no matter which process (or attempt) executes it.
+    pub(crate) fn execute_sandboxed(&self, prepared: &Prepared, k: usize) -> (RunRecord, RunStats) {
         let spec = prepared.spec;
         let (ti, mi, wi, ci) = spec.coordinate(k);
         let (model, time_ms, golden) = (spec.models[mi], spec.times_ms[wi], &prepared.goldens[ci]);
         let seed = self.config.master_seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (target, rows) = (&prepared.targets[ti], prepared.output_rows(ti, ci));
         // Sandbox the run: a panicking or hanging simulation is quarantined
         // as a classified outcome, not a dead campaign.
         let sandboxed = catch_unwind(AssertUnwindSafe(|| {
-            let target = &prepared.targets[ti];
-            self.run_one(spec, target, model, time_ms, golden, seed, arena)
+            self.run_one(target, spec.scope, rows, model, time_ms, golden, seed)
         }));
         match sandboxed {
-            Ok(Ok((original, corrupted, divergences, stats))) => {
+            Ok((original, corrupted, divergences, stats)) => {
                 let (mut record, stats) = coordinate_run(prepared, k, RunOutcome::Completed, stats);
                 record.original_value = original;
                 record.corrupted_value = corrupted;
                 record.first_divergence = divergences;
-                Ok((record, stats))
+                (record, stats)
             }
-            Ok(Err(e)) => Err(e),
-            // The window is lost to the unwind; whether the run forked is
+            // The ticks are lost to the unwind; whether the run forked is
             // still deterministic from the bundle.
             Err(payload) => {
                 let forked = golden.snapshot_at(time_ms).is_some();
@@ -886,7 +978,7 @@ impl<'f> Campaign<'f> {
                     forked,
                     ..RunStats::default()
                 };
-                Ok(coordinate_run(prepared, k, classify_unwind(payload), stats))
+                coordinate_run(prepared, k, classify_unwind(payload), stats)
             }
         }
     }
@@ -1383,10 +1475,8 @@ impl<'a> Execution<'a> {
     fn execute(&self) -> Result<(), FiError> {
         match &self.campaign.config.isolation {
             IsolationMode::InProcess => fan_out(self.campaign.config.threads, || {
-                // Thread-owned sample arena, recycled across every run.
-                let mut arena = None;
                 while let Some(k) = self.claim(true) {
-                    if !self.commit(k, self.run_here(k, &mut arena), 1) {
+                    if !self.commit(k, self.run_here(k), 1) {
                         break;
                     }
                 }
@@ -1398,7 +1488,6 @@ impl<'a> Execution<'a> {
                     pool: &pool,
                     client: None,
                     ever_spawned: false,
-                    arena: None,
                 };
                 fan_out(p.workers, || supervisor().run());
             }
@@ -1408,13 +1497,13 @@ impl<'a> Execution<'a> {
 
     /// The in-process transport: runs coordinate `k` on this thread under
     /// [`Campaign::execute_sandboxed`], timed.
-    fn run_here(&self, k: usize, arena: &mut Option<TraceSet>) -> RunResult {
+    fn run_here(&self, k: usize) -> RunResult {
         let run_started = self.obs().enabled().then(Instant::now);
-        let ran = self.campaign.execute_sandboxed(self.prepared, k, arena);
+        let ran = self.campaign.execute_sandboxed(self.prepared, k);
         if let Some(t0) = run_started {
             self.ins.run_micros.observe(t0.elapsed().as_micros() as u64);
         }
-        ran
+        Ok(ran)
     }
 
     /// Stage 4, **commit**: accounts a finished run, feeds the adaptive
@@ -1660,8 +1749,6 @@ struct Supervisor<'e, 'a> {
     client: Option<WorkerClient>,
     /// A worker was spawned before, so the next spawn is a respawn.
     ever_spawned: bool,
-    /// Sample arena of the in-process fallback.
-    arena: Option<TraceSet>,
 }
 
 impl Supervisor<'_, '_> {
@@ -1725,7 +1812,7 @@ impl Supervisor<'_, '_> {
                 // Degraded mode: run on the supervisor's bare bundles —
                 // records are bit-identical, just slower.
                 self.client = None;
-                return (exec.run_here(k, &mut self.arena), attempts.max(1));
+                return (exec.run_here(k), attempts.max(1));
             }
             if self.client.is_none() && !self.spawn(attempts) {
                 continue;
@@ -2731,9 +2818,13 @@ mod tests {
     /// Arms a time bomb: an injected high bit does not stall the module at
     /// the injection tick — it schedules an unbounded loop five ticks later.
     /// Distinguishes "hung at the injection instant" from "hung where the
-    /// clock actually stopped".
+    /// clock actually stopped". With `masked`, the output drops the high
+    /// bit, so the bomb is the error's only trace and the run is still
+    /// undecided when the clock stalls; without, the output diverges at the
+    /// injection and the record is decided before the stall.
     struct DelayedStall {
         stall_at: Option<u64>,
+        masked: bool,
     }
     impl SoftwareModule for DelayedStall {
         fn step(&mut self, ctx: &mut ModuleCtx<'_>) {
@@ -2747,7 +2838,8 @@ mod tests {
                     ctx.work(1);
                 }
             }
-            ctx.write(0, v.wrapping_add(1));
+            let shown = if self.masked { v & 0x7FFF } else { v };
+            ctx.write(0, shown.wrapping_add(1));
         }
         fn reset(&mut self) {
             self.stall_at = None;
@@ -2767,13 +2859,16 @@ mod tests {
         }
     }
 
-    fn delayed_stall_sim(_case: usize) -> Simulation {
+    fn delayed_stall_sim(masked: bool) -> Simulation {
         let mut b = SimulationBuilder::new();
         let sensor = b.define_signal("sensor");
         let out = b.define_signal("out");
         b.add_module(
             "BOMB",
-            Box::new(DelayedStall { stall_at: None }),
+            Box::new(DelayedStall {
+                stall_at: None,
+                masked,
+            }),
             Schedule::every_ms(),
             &[sensor],
             &[out],
@@ -2783,9 +2878,9 @@ mod tests {
         sim
     }
 
-    #[test]
-    fn hung_outcome_records_the_watchdogs_last_observed_tick() {
-        let f = FnSystemFactory::new(1, 10_000, delayed_stall_sim as fn(usize) -> Simulation);
+    /// The BOMB campaign (one bit-15 flip at 10 ms) under a work budget.
+    fn run_bomb(masked: bool, fast_forward: bool, obs: Obs) -> CampaignResult {
+        let f = FnSystemFactory::new(1, 10_000, move |_| delayed_stall_sim(masked));
         let s = CampaignSpec {
             targets: vec![PortTarget::new("BOMB", "sensor")],
             models: vec![ErrorModel::BitFlip { bit: 15 }],
@@ -2794,21 +2889,26 @@ mod tests {
             scope: InjectionScope::Port,
             adaptive: None,
         };
+        let c = Campaign::new(
+            &f,
+            CampaignConfig {
+                threads: 1,
+                fast_forward,
+                watchdog: Some(WatchdogConfig {
+                    max_work_per_tick: Some(4_096),
+                    max_wall_ms: None,
+                }),
+                max_quarantined_fraction: 1.0,
+                ..Default::default()
+            },
+        );
+        c.with_obs(obs).run(&s).unwrap()
+    }
+
+    #[test]
+    fn hung_outcome_records_the_watchdogs_last_observed_tick() {
         for fast_forward in [true, false] {
-            let c = Campaign::new(
-                &f,
-                CampaignConfig {
-                    threads: 1,
-                    fast_forward,
-                    watchdog: Some(WatchdogConfig {
-                        max_work_per_tick: Some(4_096),
-                        max_wall_ms: None,
-                    }),
-                    max_quarantined_fraction: 1.0,
-                    ..Default::default()
-                },
-            );
-            let res = c.run(&s).unwrap();
+            let res = run_bomb(true, fast_forward, Obs::disabled());
             assert_eq!(res.outcomes.hung, 1);
             assert_eq!(
                 res.records[0].outcome,
@@ -2817,6 +2917,41 @@ mod tests {
                  (fast_forward = {fast_forward})"
             );
         }
+    }
+
+    #[test]
+    fn stall_after_the_decision_completes_with_the_decided_record() {
+        for fast_forward in [true, false] {
+            let obs = Obs::with_sinks(Vec::new());
+            let res = run_bomb(false, fast_forward, obs.clone());
+            assert_eq!(res.outcomes.completed, 1, "fast_forward = {fast_forward}");
+            let r = &res.records[0];
+            assert_eq!(r.outcome, RunOutcome::Completed);
+            assert_eq!(r.first_divergence, vec![Some(10)]);
+            assert_eq!((r.original_value, r.corrupted_value), (10, 0x800A));
+            // The run stopped at 11, right after the deciding tick.
+            let snap = obs.snapshot().unwrap();
+            let start = if fast_forward { 10 } else { 0 };
+            assert_eq!(snap.counter("campaign.run_ticks"), Some(11 - start));
+            assert_eq!(snap.counter("campaign.ticks_cut"), Some(100 - 11));
+        }
+    }
+
+    /// Over completed runs, every golden tick is simulated, skipped by a
+    /// fork or a reconvergence, or cut after the decision.
+    fn assert_tick_identity(obs: &Obs, res: &CampaignResult) {
+        let snap = obs.snapshot().unwrap();
+        let golden: u64 = (res.records.iter())
+            .filter(|r| r.outcome.is_completed())
+            .map(|r| res.golden_ticks[r.case])
+            .sum();
+        let counter = |name| snap.counter(name).unwrap_or(0);
+        assert_eq!(
+            counter("campaign.run_ticks")
+                + counter("campaign.ticks_saved")
+                + counter("campaign.ticks_cut"),
+            golden
+        );
     }
 
     #[test]
@@ -2851,6 +2986,16 @@ mod tests {
         );
         assert!(snap.spans.contains_key("campaign"));
         assert!(snap.spans.contains_key("golden"));
+        // `konst` never diverges, so no run here is decided early.
+        assert_eq!(snap.counter("campaign.ticks_cut"), Some(0));
+        assert_tick_identity(&obs, &res);
+        // Decided runs, on both paths, with and without a fork.
+        for fast_forward in [true, false] {
+            let obs = Obs::with_sinks(Vec::new());
+            let res = run_bomb(false, fast_forward, obs.clone());
+            assert!(obs.snapshot().unwrap().counter("campaign.ticks_cut") > Some(0));
+            assert_tick_identity(&obs, &res);
+        }
     }
 
     #[test]

@@ -39,7 +39,6 @@ use crate::campaign::{Campaign, CampaignConfig, SystemFactory};
 use crate::error::FiError;
 use crate::results::{RunRecord, RunStats};
 use crate::spec::CampaignSpec;
-use permea_runtime::tracing::TraceSet;
 use permea_runtime::watchdog::WatchdogConfig;
 use serde::{Deserialize, Serialize};
 use std::io::{BufReader, Read, Write};
@@ -679,22 +678,17 @@ where
         return 1;
     }
 
-    // One sample arena for the worker's whole lifetime: every run of every
-    // batch records into the same storage.
-    let mut arena: Option<TraceSet> = None;
     loop {
         match read_frame(&mut input) {
             Ok(Some(json)) => match serde_json::from_str::<ToWorker>(&json) {
                 Ok(ToWorker::RunBatch { ks }) => {
-                    let mut results = Vec::with_capacity(ks.len());
-                    for &k in &ks {
-                        match campaign.execute_sandboxed(&prepared, k as usize, &mut arena) {
-                            Ok((record, stats)) => results.push(DoneRun { k, record, stats }),
-                            Err(e) => {
-                                return fail(format!("run {k} failed as infrastructure: {e}"))
-                            }
-                        }
-                    }
+                    let results = ks
+                        .iter()
+                        .map(|&k| {
+                            let (record, stats) = campaign.execute_sandboxed(&prepared, k as usize);
+                            DoneRun { k, record, stats }
+                        })
+                        .collect();
                     if write_frame_stdout(&FromWorker::DoneBatch { results }).is_err() {
                         return 1;
                     }

@@ -47,8 +47,9 @@ impl PairStat {
 /// for a fixed configuration they are fully deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunStats {
-    /// Ticks actually simulated inside the injection window (0 for
-    /// quarantined runs — their window is lost to the unwind).
+    /// Ticks actually simulated: from the fork (or tick zero) to the
+    /// reconvergence, the decision or the horizon (0 for quarantined runs
+    /// — their ticks are lost to the unwind).
     pub sim_ticks: u64,
     /// `true` when the run forked from a golden snapshot at the injection
     /// instant instead of replaying the prefix from tick zero.

@@ -434,8 +434,9 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             out,
-            "run ticks : {} simulated inside injection windows",
+            "run ticks : {} simulated by injection runs, {} cut after the decision",
             c("campaign.run_ticks"),
+            c("campaign.ticks_cut"),
         );
         let executed = c("process.runs_executed");
         let wall_ms = self

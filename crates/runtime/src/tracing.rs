@@ -262,10 +262,21 @@ impl TraceSet {
         self.names.len()
     }
 
-    /// The recorded samples of signal `i` (monitoring order), as one
-    /// contiguous slice.
-    fn samples(&self, i: usize) -> &[u16] {
+    /// The recorded samples of signal `i` (monitoring order, see
+    /// [`TraceSet::position`]), as one contiguous slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not below [`TraceSet::signal_count`].
+    pub fn samples(&self, i: usize) -> &[u16] {
+        assert!(i < self.names.len(), "signal index out of range");
         &self.data[i * self.cap..i * self.cap + self.ticks]
+    }
+
+    /// The monitoring-order index of the signal named `name`, if
+    /// monitored: resolve it once, then read [`TraceSet::samples`] by index.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
     }
 
     /// Iterates `(name, samples)` over all traces in monitoring order.
@@ -278,10 +289,7 @@ impl TraceSet {
 
     /// The recorded samples of the signal named `name`, if monitored.
     pub fn trace(&self, name: &str) -> Option<&[u16]> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.samples(i))
+        self.position(name).map(|i| self.samples(i))
     }
 
     /// First tick at which the named signal diverges from the same signal in
